@@ -11,77 +11,98 @@ package repro.core
   *
   * With threads = 1 the run is deterministic in the given processing order
   * (Theorem 4: the non-decreasing-κ order converges in one iteration). With
-  * threads > 1 the flags race benignly, exactly as in the paper's OpenMP
-  * implementation — a missed in-pass notification is caught by the next
-  * pass, bounded by the synchronous behaviour.
+  * threads > 1 the flags race, as in the paper's OpenMP implementation: a
+  * worker can read a neighbour's τ just before that neighbour lowers it and
+  * notifies, so a pass can find no change while some τ is still above κ.
+  * With notification, a pass that changes nothing is therefore followed by
+  * one verification pass with every flag set, and the run stops only if
+  * that pass changes nothing too. A full pass that changes nothing wrote no
+  * τ, so every r-clique read the same τ and that τ is a fixpoint of 𝒰; since
+  * τ ≥ κ under any interleaving (Theorem 1), it is κ. Without notification
+  * every pass is full and the last one is its own verification.
   */
 object And {
 
   /** Run AND to convergence.
     *
-    * @param h           the (r,s) hypergraph
-    * @param threads     parallel workers per pass (1 = deterministic)
+    * @param inc         the (r,s) incidence
+    * @param threads     workers for the d_s count and each pass
+    *                    (1 = deterministic)
     * @param notify      enable the notification mechanism (orange lines)
     * @param order       processing order over r-cliques (default natural);
     *                    ignored meaningfully only for threads = 1
     * @param onIteration optional observer: (pass number, τ snapshot); τ₀ is
-    *                    delivered as pass 0
+    *                    delivered as pass 0; verification passes are not
+    *                    delivered
     */
-  def decompose(h: Hypergraph, threads: Int = 1, notify: Boolean = true,
+  def decompose(inc: Incidence, threads: Int = 1, notify: Boolean = true,
                 order: Array[Int] = null,
                 onIteration: (Int, Array[Int]) => Unit = null): IterResult = {
-    val n = h.numR
-    val tau = h.degrees
+    val n = inc.numR
+    val tau = inc.degreeCounts(threads)
     if (onIteration != null) onIteration(0, tau.clone())
     val ord = if (order != null) order else Array.tabulate(n)(identity)
     require(ord.length == n, "order must be a permutation of 0..numR-1")
-    val maxDeg = h.maxDegree
+    val maxDeg = if (n == 0) 0 else tau.max
     val c: Array[Boolean] = if (notify) Array.fill(n)(true) else null
     val changed = new java.util.concurrent.atomic.AtomicBoolean(false)
     val computations = new java.util.concurrent.atomic.AtomicLong(0L)
-    var iterations = 0
-    var passes = 0
-    var active = Vector.empty[Long]
-    var go = n > 0
-    while (go) {
-      passes += 1
+
+    /** One pass over ``ord``; returns the h-index evaluations it made. */
+    def pass(): Long = {
       changed.set(false)
-      val activeBefore = computations.get()
-      ParallelFor.dynamic(n, threads)(() => new HIndexScratch(maxDeg)) { (idx, scratch) =>
+      val before = computations.get()
+      ParallelFor.dynamic(n, threads)(() => new Gathered(inc, maxDeg)) { (idx, g) =>
         val r = ord(idx)
         if (c == null || c(r)) {
+          // Clear before reading, so a notification that lands while r is
+          // being computed survives to the next pass.
+          if (c != null) c(r) = false
           computations.incrementAndGet()
-          var len = 0
-          h.foreachIncident(r) { s =>
-            var rho = Int.MaxValue
-            h.foreachMember(s) { r2 => if (r2 != r && tau(r2) < rho) rho = tau(r2) }
-            scratch.vals(len) = rho
-            len += 1
-          }
-          val hv = scratch.hIndex(len)
+          g.load(r)
+          val hv = g.hIndex(tau)
           val old = tau(r)
           if (hv != old) {
             changed.set(true)
+            tau(r) = hv
             if (c != null) {
               // Notify only neighbours whose τ lies in (hv, old]: anything
               // at or below hv already saw a value >= its own; anything
               // above old cannot have counted us at its h-index threshold.
-              h.foreachIncident(r) { s =>
-                h.foreachMember(s) { r2 =>
-                  if (r2 != r && hv < tau(r2) && tau(r2) <= old) c(r2) = true
-                }
+              val buf = g.buf
+              val end = g.len * g.others
+              var k = 0
+              while (k < end) {
+                val r2 = buf(k)
+                val t2 = tau(r2)
+                if (hv < t2 && t2 <= old) c(r2) = true
+                k += 1
               }
             }
-            tau(r) = hv
           }
-          if (c != null) c(r) = false
         }
       }
-      val did = computations.get() - activeBefore
-      active :+= did
+      computations.get() - before
+    }
+
+    var iterations = 0
+    var passes = 0
+    var active = Vector.empty[Long]
+    var verifyPasses = 0
+    var verifyComputations = 0L
+    var go = n > 0
+    while (go) {
+      passes += 1
+      active :+= pass()
       if (changed.get()) iterations += 1 else go = false
       if (onIteration != null) onIteration(passes, tau.clone())
+      if (!go && c != null) {
+        java.util.Arrays.fill(c, true)
+        verifyPasses += 1
+        verifyComputations += pass()
+        go = changed.get()
+      }
     }
-    IterResult(tau, iterations, passes, computations.get(), active)
+    IterResult(tau, iterations, passes, active.sum, active, verifyPasses, verifyComputations)
   }
 }

@@ -5,15 +5,16 @@ package repro.core
   * The decomposition only ever sees r-cliques as opaque nodes and s-cliques
   * as fixed-arity hyperedges over them: k-core is (vertices, edges) with
   * arity 2, k-truss is (edges, triangles) with arity 3, and (3,4) is
-  * (triangles, four-cliques) with arity 4. Peeling, SND, AND and the
-  * degree-levels bound are all written once against this structure.
+  * (triangles, four-cliques) with arity 4. It is the materialized
+  * [[Incidence]]: peeling, SND and AND read it through [[gather]]; the
+  * degree-levels bound walks it directly.
   *
   * @param numR    number of r-clique nodes (0..numR-1)
   * @param arity   r-cliques per s-clique, i.e. C(s, r) — constant per (r,s)
   * @param members flattened member lists: s-clique j owns
   *                ``members(j*arity until (j+1)*arity)``
   */
-final class Hypergraph(val numR: Int, val arity: Int, val members: Array[Int]) {
+final class Hypergraph(val numR: Int, val arity: Int, val members: Array[Int]) extends Incidence {
   require(members.length % arity == 0, "members length must be a multiple of arity")
 
   /** Number of s-clique hyperedges. */
@@ -21,25 +22,39 @@ final class Hypergraph(val numR: Int, val arity: Int, val members: Array[Int]) {
 
   /** CSR incidence: r-clique -> indices of s-cliques containing it. */
   val incOff: Array[Int] = new Array[Int](numR + 1)
-  val incS: Array[Int] = {
+  val incS: Array[Int] = new Array[Int](members.length)
+
+  /** For each slot of [[incS]], the other members of its s-clique in
+    * member order, [[others]] ids per slot: [[gather]] is then one
+    * sequential copy.
+    */
+  private val incOthers = new Array[Int](Math.multiplyExact(members.length, arity - 1))
+
+  {
     var i = 0
     while (i < members.length) { incOff(members(i) + 1) += 1; i += 1 }
     i = 0
     while (i < numR) { incOff(i + 1) += incOff(i); i += 1 }
     val cur = java.util.Arrays.copyOf(incOff, numR)
-    val out = new Array[Int](members.length)
     var j = 0
     while (j < numS) {
-      var k = j * arity
-      while (k < (j + 1) * arity) {
-        val r = members(k)
-        out(cur(r)) = j
+      val base = j * arity
+      var p = 0
+      while (p < arity) {
+        val r = members(base + p)
+        val slot = cur(r)
         cur(r) += 1
-        k += 1
+        incS(slot) = j
+        var w = slot * (arity - 1)
+        var q = 0
+        while (q < arity) {
+          if (q != p) { incOthers(w) = members(base + q); w += 1 }
+          q += 1
+        }
+        p += 1
       }
       j += 1
     }
-    out
   }
 
   /** S-degree d_s(R): number of s-cliques containing r-clique ``r``. */
@@ -50,6 +65,16 @@ final class Hypergraph(val numR: Int, val arity: Int, val members: Array[Int]) {
 
   /** Largest S-degree over all r-cliques (0 for an empty hypergraph). */
   def maxDegree: Int = if (numR == 0) 0 else (0 until numR).map(degree).max
+
+  def others: Int = arity - 1
+
+  /** The stored degrees; counting costs nothing, so ``threads`` is unused. */
+  def degreeCounts(threads: Int): Array[Int] = degrees
+
+  def gather(r: Int, buf: Array[Int]): Int = {
+    System.arraycopy(incOthers, incOff(r) * others, buf, 0, degree(r) * others)
+    degree(r)
+  }
 
   /** Iterate the member r-cliques of s-clique ``s``. */
   @inline def foreachMember(s: Int)(f: Int => Unit): Unit = {

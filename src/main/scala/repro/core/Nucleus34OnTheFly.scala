@@ -2,156 +2,51 @@ package repro.core
 
 import repro.graph.LocalGraph
 
-/** (3,4)-nucleus engines that find each triangle's four-cliques *on the
+/** (3,4)-nucleus incidence that finds each triangle's four-cliques *on the
   * fly*: the K4s of triangle (a,b,c) are the common neighbours d of all
   * three vertices, and the three other faces are resolved through a
-  * triangle-id hash. Mirrors the paper's no-materialization implementation
-  * (see [[TrussOnTheFly]] for the rationale); Table 5 times these engines.
+  * [[TriangleIndex]]. Mirrors the paper's no-materialization implementation
+  * (see [[TrussOnTheFly]] for the rationale); Table 5 times it.
   *
   * @param tri stride-3 flattened triangle list (a < b < c), ids = offsets
   */
-final class Nucleus34OnTheFly(g: LocalGraph, tri: Array[Int]) {
+final class Nucleus34OnTheFly(g: LocalGraph, tri: Array[Int]) extends Incidence {
   val numTriangles: Int = tri.length / 3
-  private val n = math.max(1, g.n)
-  private val eid = {
-    val m = new scala.collection.mutable.LongMap[Int](2 * g.m)
-    var e = 0
-    while (e < g.m) { m(g.edges(e)._1.toLong * n + g.edges(e)._2) = e; e += 1 }
-    m
-  }
-  private val tid = {
-    val m = new scala.collection.mutable.LongMap[Int](2 * numTriangles)
-    var t = 0
-    while (t < numTriangles) {
-      m((tri(3 * t).toLong * n + tri(3 * t + 1)) * n + tri(3 * t + 2)) = t
-      t += 1
-    }
-    m
-  }
+  private val tid = new TriangleIndex(g.n, tri)
 
-  @inline private def hasEdge(u: Int, v: Int): Boolean = {
-    val k = if (u < v) u.toLong * n + v else v.toLong * n + u
-    eid.contains(k)
-  }
+  def numR: Int = numTriangles
+  def others: Int = 3
 
-  /** Triangle id of the sorted triple {x, y, z} (must exist). */
-  @inline private def triOf(x: Int, y: Int, z: Int): Int = {
-    var a = x; var b = y; var c = z
-    if (a > b) { val t = a; a = b; b = t }
-    if (b > c) { val t = b; b = c; c = t }
-    if (a > b) { val t = a; a = b; b = t }
-    tid((a.toLong * n + b) * n + c)
-  }
-
-  /** Visit the K4s containing triangle ``t`` as the ids of its three other
-    * faces. Iterates the smallest-degree corner's adjacency with two edge
-    * probes per candidate — the on-the-fly cost.
+  /** The K4s of triangle ``t`` as the ids of their three other faces.
+    * Scans the smallest-degree corner's adjacency with two edge probes per
+    * candidate — the on-the-fly cost.
     */
-  @inline def foreachFourClique(t: Int)(f: (Int, Int, Int) => Unit): Unit = {
+  def gather(t: Int, buf: Array[Int]): Int = {
     val a = tri(3 * t); val b = tri(3 * t + 1); val c = tri(3 * t + 2)
     var x = a; var y = b; var z = c
     if (g.degree(y) < g.degree(x)) { val s = x; x = y; y = s }
     if (g.degree(z) < g.degree(x)) { val s = x; x = z; z = s }
-    g.foreachNeighbor(x) { (d, _) =>
-      if (d != y && d != z && hasEdge(y, d) && hasEdge(z, d))
-        f(triOf(a, b, d), triOf(a, c, d), triOf(b, c, d))
-    }
-  }
-
-  /** Parallel per-triangle K4 counts (d_4, the τ₀ of both algorithms). */
-  def fourCliqueCounts(threads: Int): Array[Int] = {
-    val d = new Array[Int](numTriangles)
-    ParallelFor.dynamic(numTriangles, threads)(() => ()) { (t, _) =>
-      var cnt = 0
-      foreachFourClique(t)((_, _, _) => cnt += 1)
-      d(t) = cnt
-    }
-    d
-  }
-
-  /** Sequential bucket peeling with on-the-fly K4 enumeration. */
-  def peel(threads: Int): Array[Int] = {
-    val nT = numTriangles
-    val kappa = new Array[Int](nT)
-    if (nT == 0) return kappa
-    val deg = fourCliqueCounts(threads)
-    val maxDeg = deg.max
-    val bin = new Array[Int](maxDeg + 2)
-    var i = 0
-    while (i < nT) { bin(deg(i) + 1) += 1; i += 1 }
-    i = 1
-    while (i <= maxDeg + 1) { bin(i) += bin(i - 1); i += 1 }
-    val vert = new Array[Int](nT)
-    val pos = new Array[Int](nT)
-    val cur = java.util.Arrays.copyOf(bin, maxDeg + 1)
-    i = 0
-    while (i < nT) { vert(cur(deg(i))) = i; pos(i) = cur(deg(i)); cur(deg(i)) += 1; i += 1 }
-    val processed = new Array[Boolean](nT)
-
-    @inline def drop(r2: Int, floor: Int): Unit =
-      if (!processed(r2) && deg(r2) > floor) {
-        val d2 = deg(r2); val p2 = pos(r2); val first = bin(d2); val fr = vert(first)
-        if (fr != r2) { vert(p2) = fr; pos(fr) = p2; vert(first) = r2; pos(r2) = first }
-        bin(d2) += 1
-        deg(r2) = d2 - 1
+    var len = 0
+    var i = g.adjOff(x)
+    while (i < g.adjOff(x + 1)) {
+      val d = g.adjVtx(i)
+      if (d != y && d != z && g.hasEdge(y, d) && g.hasEdge(z, d)) {
+        buf(len) = tid.of(a, b, d); buf(len + 1) = tid.of(a, c, d); buf(len + 2) = tid.of(b, c, d)
+        len += 3
       }
-
-    var p = 0
-    while (p < nT) {
-      val t = vert(p)
-      kappa(t) = deg(t)
-      processed(t) = true
-      foreachFourClique(t) { (t1, t2, t3) =>
-        if (!processed(t1) && !processed(t2) && !processed(t3)) {
-          drop(t1, deg(t)); drop(t2, deg(t)); drop(t3, deg(t))
-        }
-      }
-      p += 1
+      i += 1
     }
-    kappa
+    len / 3
   }
 
-  /** AND with on-the-fly K4 enumeration (Algorithm 3 semantics). */
-  def and(threads: Int, notify: Boolean = true): IterResult = {
-    val nT = numTriangles
-    val tau = fourCliqueCounts(threads)
-    val maxDeg = if (nT == 0) 0 else tau.max
-    val c: Array[Boolean] = if (notify) Array.fill(nT)(true) else null
-    val changed = new java.util.concurrent.atomic.AtomicBoolean(false)
-    val computations = new java.util.concurrent.atomic.AtomicLong(0L)
-    var iterations = 0
-    var passes = 0
-    var active = Vector.empty[Long]
-    var go = nT > 0
-    while (go) {
-      passes += 1
-      changed.set(false)
-      val before = computations.get()
-      ParallelFor.dynamic(nT, threads)(() => new HIndexScratch(maxDeg)) { (t, scratch) =>
-        if (c == null || c(t)) {
-          computations.incrementAndGet()
-          var len = 0
-          foreachFourClique(t) { (t1, t2, t3) =>
-            scratch.vals(len) = math.min(tau(t1), math.min(tau(t2), tau(t3)))
-            len += 1
-          }
-          val hv = scratch.hIndex(len)
-          val old = tau(t)
-          if (hv != old) {
-            changed.set(true)
-            if (c != null) foreachFourClique(t) { (t1, t2, t3) =>
-              if (hv < tau(t1) && tau(t1) <= old) c(t1) = true
-              if (hv < tau(t2) && tau(t2) <= old) c(t2) = true
-              if (hv < tau(t3) && tau(t3) <= old) c(t3) = true
-            }
-            tau(t) = hv
-          }
-          if (c != null) c(t) = false
-        }
-      }
-      active :+= computations.get() - before
-      if (changed.get()) iterations += 1 else go = false
-    }
-    IterResult(tau, iterations, passes, computations.get(), active)
-  }
+  /** Parallel per-triangle K4 counts; a triangle lies in fewer K4s than
+    * its corners have neighbours.
+    */
+  def degreeCounts(threads: Int): Array[Int] = countByGather(threads, g.maxDegree)
+
+  def fourCliqueCounts(threads: Int): Array[Int] = degreeCounts(threads)
+
+  def peel(threads: Int): Array[Int] = Peeling.decompose(this, threads)
+
+  def and(threads: Int, notify: Boolean = true): IterResult = And.decompose(this, threads, notify)
 }

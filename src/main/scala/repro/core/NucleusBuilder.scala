@@ -91,25 +91,17 @@ object NucleusBuilder {
 
   /** (3,4): r-cliques are triangles, s-cliques are four-cliques. */
   def nucleus34Hypergraph(m: Materialized): Hypergraph = {
-    val n = m.graph.n.toLong
-    // Dense triple key (a*n + b)*n + c — fits a Long for n up to ~2M.
-    def key(a: Int, b: Int, c: Int): Long = (a.toLong * n + b) * n + c
-    val triId = new scala.collection.mutable.LongMap[Int](m.numTriangles * 2)
-    var t = 0
-    while (t < m.numTriangles) {
-      triId(key(m.tri(3 * t), m.tri(3 * t + 1), m.tri(3 * t + 2))) = t
-      t += 1
-    }
+    val triId = new TriangleIndex(m.graph.n, m.tri)
     val nQ = m.numQuads
     val flat = new Array[Int](4 * nQ)
     var q = 0
     while (q < nQ) {
       val a = m.quad(4 * q); val b = m.quad(4 * q + 1)
       val c = m.quad(4 * q + 2); val d = m.quad(4 * q + 3)
-      flat(4 * q) = triId(key(a, b, c))
-      flat(4 * q + 1) = triId(key(a, b, d))
-      flat(4 * q + 2) = triId(key(a, c, d))
-      flat(4 * q + 3) = triId(key(b, c, d))
+      flat(4 * q) = triId(a, b, c)
+      flat(4 * q + 1) = triId(a, b, d)
+      flat(4 * q + 2) = triId(a, c, d)
+      flat(4 * q + 3) = triId(b, c, d)
       q += 1
     }
     new Hypergraph(m.numTriangles, 4, flat)
@@ -121,5 +113,15 @@ object NucleusBuilder {
     case (2, 3) => trussHypergraph(m)
     case (3, 4) => nucleus34Hypergraph(m)
     case _      => sys.error(s"unsupported (r,s) = ($r,$s); supported: (1,2) (2,3) (3,4)")
+  }
+
+  /** The incidence the runtime experiments use (the paper's §5 setup):
+    * s-cliques found on the fly for (2,3) and (3,4); for (1,2) the graph
+    * itself is the structure, so the materialized hypergraph.
+    */
+  def onTheFly(m: Materialized, r: Int, s: Int): Incidence = (r, s) match {
+    case (2, 3) => new TrussOnTheFly(m.graph)
+    case (3, 4) => new Nucleus34OnTheFly(m.graph, m.tri)
+    case _      => hypergraph(m, r, s)
   }
 }

@@ -9,6 +9,10 @@ package repro.core
   * @param tauComputations number of h-index evaluations performed (τ₀
   *                        initialization excluded)
   * @param activeTrace     per-pass count of r-cliques actually recomputed
+  * @param verifyPasses    AND with notification only: full passes run
+  *                        after a no-change pass to confirm the fixpoint;
+  *                        counted in none of the fields above
+  * @param verifyTauComputations h-index evaluations of those passes
   */
 final case class IterResult(
     kappa: Array[Int],
@@ -16,6 +20,8 @@ final case class IterResult(
     passes: Int,
     tauComputations: Long,
     activeTrace: Vector[Long],
+    verifyPasses: Int = 0,
+    verifyTauComputations: Long = 0L,
 )
 
 /** SND — Synchronous Nucleus Decomposition (Algorithm 2).
@@ -29,19 +35,20 @@ object Snd {
 
   /** Run SND to convergence.
     *
-    * @param h           the (r,s) hypergraph
-    * @param threads     parallel workers for each pass (1 = sequential)
+    * @param inc         the (r,s) incidence
+    * @param threads     parallel workers for the d_s count and each pass
+    *                    (1 = sequential)
     * @param onIteration optional observer called after every pass with
     *                    (pass number starting at 1, τ snapshot); the τ₀
     *                    snapshot is delivered as pass 0 before iterating
     */
-  def decompose(h: Hypergraph, threads: Int = 1,
+  def decompose(inc: Incidence, threads: Int = 1,
                 onIteration: (Int, Array[Int]) => Unit = null): IterResult = {
-    val n = h.numR
-    val tau = h.degrees
+    val n = inc.numR
+    val tau = inc.degreeCounts(threads)
     if (onIteration != null) onIteration(0, tau.clone())
-    var tauP = new Array[Int](n)
-    val maxDeg = h.maxDegree
+    val tauP = new Array[Int](n)
+    val maxDeg = if (n == 0) 0 else tau.max
     val changed = new java.util.concurrent.atomic.AtomicBoolean(false)
     var iterations = 0
     var passes = 0
@@ -52,15 +59,9 @@ object Snd {
       passes += 1
       System.arraycopy(tau, 0, tauP, 0, n)
       changed.set(false)
-      ParallelFor.dynamic(n, threads)(() => new HIndexScratch(maxDeg)) { (r, scratch) =>
-        var len = 0
-        h.foreachIncident(r) { s =>
-          var rho = Int.MaxValue
-          h.foreachMember(s) { r2 => if (r2 != r && tauP(r2) < rho) rho = tauP(r2) }
-          scratch.vals(len) = rho
-          len += 1
-        }
-        val hv = scratch.hIndex(len)
+      ParallelFor.dynamic(n, threads)(() => new Gathered(inc, maxDeg)) { (r, g) =>
+        g.load(r)
+        val hv = g.hIndex(tauP)
         if (hv != tauP(r)) changed.set(true)
         tau(r) = hv
       }

@@ -2,145 +2,49 @@ package repro.core
 
 import repro.graph.LocalGraph
 
-/** k-truss (r=2, s=3) engines that find each edge's triangles *on the fly*
-  * by neighbourhood intersection, exactly as the paper's implementation does
-  * (§5: "We do not store the s-cliques during the computation ... we find
-  * the participations of the r-cliques in the s-cliques on-the-fly").
+/** k-truss (r=2, s=3) incidence that finds each edge's triangles *on the
+  * fly* by neighbourhood intersection, exactly as the paper's implementation
+  * does (§5: "We do not store the s-cliques during the computation ... we
+  * find the participations of the r-cliques in the s-cliques on-the-fly").
   *
   * This is the variant Table 5 times: the triangle-count initialization is
   * parallel for both algorithms (the paper parallelizes it for peeling too,
   * "for a fair comparison"), then peeling's peel loop is sequential while
   * AND's h-index passes are parallel.
   */
-final class TrussOnTheFly(g: LocalGraph) {
-  private val n = math.max(1, g.n)
-  private val eid = {
-    val m = new scala.collection.mutable.LongMap[Int](2 * g.m)
-    var e = 0
-    while (e < g.m) { m(g.edges(e)._1.toLong * n + g.edges(e)._2) = e; e += 1 }
-    m
-  }
+final class TrussOnTheFly(g: LocalGraph) extends Incidence {
+  def numR: Int = g.m
+  def others: Int = 2
 
-  /** Edge id of (u,v) via the hash index, or -1. */
-  @inline private def edgeOf(u: Int, v: Int): Int = {
-    val k = if (u < v) u.toLong * n + v else v.toLong * n + u
-    eid.getOrElse(k, -1)
-  }
-
-  /** Visit the triangles of edge ``e`` as the ids of its two other edges.
-    * Iterates the smaller-degree endpoint's adjacency; O(min deg) hash
+  /** The triangles of edge ``e`` as the ids of their two other edges.
+    * Scans the smaller-degree endpoint's adjacency; O(min deg) edge-index
     * probes per call — the on-the-fly cost the paper's runtimes reflect.
     */
-  @inline def foreachTriangle(e: Int)(f: (Int, Int) => Unit): Unit = {
+  def gather(e: Int, buf: Array[Int]): Int = {
     val (u, v) = g.edges(e)
-    val (x, y) = if (g.degree(u) <= g.degree(v)) (u, v) else (v, u)
-    g.foreachNeighbor(x) { (w, exw) =>
+    val x = if (g.degree(u) <= g.degree(v)) u else v
+    val y = if (x == u) v else u
+    var len = 0
+    var i = g.adjOff(x)
+    while (i < g.adjOff(x + 1)) {
+      val w = g.adjVtx(i)
       if (w != y) {
-        val eyw = edgeOf(y, w)
-        if (eyw >= 0) f(exw, eyw)
+        val eyw = g.edgeId(y, w)
+        if (eyw >= 0) { buf(len) = g.adjEid(i); buf(len + 1) = eyw; len += 2 }
       }
+      i += 1
     }
+    len / 2
   }
 
-  /** Parallel per-edge triangle counts (d_3, the τ₀ of both algorithms). */
-  def triangleCounts(threads: Int): Array[Int] = {
-    val d = new Array[Int](g.m)
-    ParallelFor.dynamic(g.m, threads)(() => ()) { (e, _) =>
-      var c = 0
-      foreachTriangle(e)((_, _) => c += 1)
-      d(e) = c
-    }
-    d
-  }
-
-  /** Sequential bucket peeling with on-the-fly triangle enumeration; the
-    * count initialization runs on ``threads`` workers (fair-comparison
-    * setup). Returns κ_3 for every edge.
+  /** Parallel per-edge triangle counts; an edge lies in fewer triangles
+    * than its endpoints have neighbours.
     */
-  def peel(threads: Int): Array[Int] = {
-    val mEdges = g.m
-    val kappa = new Array[Int](mEdges)
-    if (mEdges == 0) return kappa
-    val deg = triangleCounts(threads)
-    val maxDeg = deg.max
-    val bin = new Array[Int](maxDeg + 2)
-    var i = 0
-    while (i < mEdges) { bin(deg(i) + 1) += 1; i += 1 }
-    i = 1
-    while (i <= maxDeg + 1) { bin(i) += bin(i - 1); i += 1 }
-    val vert = new Array[Int](mEdges)
-    val pos = new Array[Int](mEdges)
-    val cur = java.util.Arrays.copyOf(bin, maxDeg + 1)
-    i = 0
-    while (i < mEdges) { vert(cur(deg(i))) = i; pos(i) = cur(deg(i)); cur(deg(i)) += 1; i += 1 }
-    val processed = new Array[Boolean](mEdges)
+  def degreeCounts(threads: Int): Array[Int] = countByGather(threads, g.maxDegree)
 
-    @inline def drop(r2: Int, floor: Int): Unit =
-      if (!processed(r2) && deg(r2) > floor) {
-        val d2 = deg(r2); val p2 = pos(r2); val first = bin(d2); val fr = vert(first)
-        if (fr != r2) { vert(p2) = fr; pos(fr) = p2; vert(first) = r2; pos(r2) = first }
-        bin(d2) += 1
-        deg(r2) = d2 - 1
-      }
+  def triangleCounts(threads: Int): Array[Int] = degreeCounts(threads)
 
-    var p = 0
-    while (p < mEdges) {
-      val e = vert(p)
-      kappa(e) = deg(e)
-      processed(e) = true
-      foreachTriangle(e) { (e1, e2) =>
-        // The triangle is alive iff both other edges are unprocessed
-        // (Algorithm 1 skips s-cliques with a processed member).
-        if (!processed(e1) && !processed(e2)) { drop(e1, deg(e)); drop(e2, deg(e)) }
-      }
-      p += 1
-    }
-    kappa
-  }
+  def peel(threads: Int): Array[Int] = Peeling.decompose(this, threads)
 
-  /** AND with on-the-fly triangle enumeration (Algorithm 3, orange lines
-    * included when ``notify``). Semantics identical to [[And.decompose]] on
-    * the materialized truss hypergraph; only the access path differs.
-    */
-  def and(threads: Int, notify: Boolean = true): IterResult = {
-    val mEdges = g.m
-    val tau = triangleCounts(threads)
-    val maxDeg = if (mEdges == 0) 0 else tau.max
-    val c: Array[Boolean] = if (notify) Array.fill(mEdges)(true) else null
-    val changed = new java.util.concurrent.atomic.AtomicBoolean(false)
-    val computations = new java.util.concurrent.atomic.AtomicLong(0L)
-    var iterations = 0
-    var passes = 0
-    var active = Vector.empty[Long]
-    var go = mEdges > 0
-    while (go) {
-      passes += 1
-      changed.set(false)
-      val before = computations.get()
-      ParallelFor.dynamic(mEdges, threads)(() => new HIndexScratch(maxDeg)) { (e, scratch) =>
-        if (c == null || c(e)) {
-          computations.incrementAndGet()
-          var len = 0
-          foreachTriangle(e) { (e1, e2) =>
-            scratch.vals(len) = math.min(tau(e1), tau(e2))
-            len += 1
-          }
-          val hv = scratch.hIndex(len)
-          val old = tau(e)
-          if (hv != old) {
-            changed.set(true)
-            if (c != null) foreachTriangle(e) { (e1, e2) =>
-              if (hv < tau(e1) && tau(e1) <= old) c(e1) = true
-              if (hv < tau(e2) && tau(e2) <= old) c(e2) = true
-            }
-            tau(e) = hv
-          }
-          if (c != null) c(e) = false
-        }
-      }
-      active :+= computations.get() - before
-      if (changed.get()) iterations += 1 else go = false
-    }
-    IterResult(tau, iterations, passes, computations.get(), active)
-  }
+  def and(threads: Int, notify: Boolean = true): IterResult = And.decompose(this, threads, notify)
 }

@@ -9,7 +9,9 @@ import org.apache.spark.sql.DataFrame
   * Vertices are 0..n-1; ``edges(e) = (u, v)`` with ``u < v``; ``adj`` is a
   * CSR over undirected neighbours; ``incEdges`` is the parallel CSR holding
   * the edge id of each adjacency slot, so edge-centric algorithms (k-truss)
-  * can map a neighbour back to its edge.
+  * can map a neighbour back to its edge. [[edgeId]] and [[hasEdge]] go
+  * through one hashed edge index, shared by the truss hypergraph build and
+  * both on-the-fly incidences.
   */
 final class LocalGraph(
     val n: Int,
@@ -23,22 +25,31 @@ final class LocalGraph(
   /** Degree of vertex ``v``. */
   def degree(v: Int): Int = adjOff(v + 1) - adjOff(v)
 
+  /** Largest vertex degree (0 for an empty graph). */
+  lazy val maxDegree: Int = (0 until n).foldLeft(0)((d, v) => math.max(d, degree(v)))
+
   /** Iterate neighbours of ``v`` with their incident edge ids. */
   @inline def foreachNeighbor(v: Int)(f: (Int, Int) => Unit): Unit = {
     var i = adjOff(v)
     while (i < adjOff(v + 1)) { f(adjVtx(i), adjEid(i)); i += 1 }
   }
 
-  /** Edge id of (u, v) if present (endpoints in any order), else -1. */
-  def edgeId(u: Int, v: Int): Int = {
-    val (a, b) = if (degree(u) <= degree(v)) (u, v) else (v, u)
-    var i = adjOff(a)
-    while (i < adjOff(a + 1)) {
-      if (adjVtx(i) == b) return adjEid(i)
-      i += 1
-    }
-    -1
+  /** Edge ids keyed by u·n + v (u < v); built on first use and shared by
+    * every engine over this graph.
+    */
+  private lazy val edgeIndex = {
+    val ix = new LongIndex(m)
+    var e = 0
+    while (e < m) { ix(edges(e)._1.toLong * n + edges(e)._2) = e; e += 1 }
+    ix
   }
+
+  /** Edge id of (u, v) if present (endpoints in any order), else -1. */
+  def edgeId(u: Int, v: Int): Int =
+    edgeIndex(if (u < v) u.toLong * n + v else v.toLong * n + u)
+
+  /** Whether (u, v) is an edge (endpoints in any order). */
+  def hasEdge(u: Int, v: Int): Boolean = edgeId(u, v) >= 0
 }
 
 object LocalGraph {

@@ -1,7 +1,7 @@
 package repro.harness
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{And, Nucleus34OnTheFly, Peeling, TrussOnTheFly}
+import repro.core.{And, NucleusBuilder, Peeling}
 import repro.synth.Proxies
 
 /** Table 5 — decomposition runtime: sequential peeling versus parallel AND.
@@ -13,6 +13,7 @@ import repro.synth.Proxies
   * inherently sequential while AND's passes use all threads. For k-core the
   * graph itself is the structure, so the materialized engines apply.
   * Table 1 of the paper is the (3,4) subset {TW, WND, WIKI} of these rows.
+  * Every row checks κ(AND) = κ(peeling) before it records a time.
   */
 object Table5Harness {
 
@@ -26,24 +27,14 @@ object Table5Harness {
           threads: Int = Runtime.getRuntime.availableProcessors(),
           reps: Int = 3): Seq[Row] =
     for (d <- decomps; spec <- specs) yield {
-      val m = Harness.materialized(spark, spec)
-      def mk(name: String, peelF: () => Unit, andF: () => Unit): Row = {
-        peelF(); andF() // JIT warm-up for both paths before timing
-        Row(name, spec.name, PaperNumbers.abbrev(spec.name),
-            Harness.timeMs(reps)(peelF()), Harness.timeMs(reps)(andF()))
-      }
-      d.label match {
-        case "k-core" =>
-          val h = Harness.hypergraph(spark, spec, d)
-          mk(d.label, () => Peeling.decompose(h), () => And.decompose(h, threads = threads))
-        case "k-truss" =>
-          val eng = new TrussOnTheFly(m.graph)
-          mk(d.label, () => eng.peel(threads), () => eng.and(threads))
-        case "(3,4)" =>
-          val eng = new Nucleus34OnTheFly(m.graph, m.tri)
-          mk(d.label, () => eng.peel(threads), () => eng.and(threads))
-        case other => sys.error(s"unknown decomposition $other")
-      }
+      val inc = NucleusBuilder.onTheFly(Harness.materialized(spark, spec), d.r, d.s)
+      // The checked runs double as JIT warm-up for both timed paths.
+      val kappa = Peeling.decompose(inc, threads)
+      if (!java.util.Arrays.equals(And.decompose(inc, threads = threads).kappa, kappa))
+        throw new IllegalStateException(s"${d.label} on ${spec.name}: AND and peeling disagree on κ")
+      Row(d.label, spec.name, PaperNumbers.abbrev(spec.name),
+          Harness.timeMs(reps)(Peeling.decompose(inc, threads)),
+          Harness.timeMs(reps)(And.decompose(inc, threads = threads)))
     }
 
   def format(rows: Seq[Row]): String = {

@@ -37,7 +37,7 @@ object Proxies {
   }
 
   /** All ten proxies, in the paper's Table 3 row order. Parameters were
-    * calibrated (tools/Calibrate) so triangle/K4 density is high enough to
+    * calibrated so triangle/K4 density is high enough to
     * exercise the higher-order decompositions and reproduce Table 5's
     * peeling-vs-AND crossover; planted cliques mimic the locally-dense
     * graphs (facebook, web-NotreDame) whose K4 counts dwarf their size.

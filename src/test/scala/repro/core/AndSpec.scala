@@ -82,6 +82,7 @@ class AndSpec extends AnyFunSuite {
     val res = And.decompose(h, order = Array(0, 1, 2, 3, 4, 5), notify = false)
     assert(res.iterations == 2 && res.passes == 3)
     assert(res.tauComputations == 18L, "6 vertices x 3 passes without notification")
+    assert(res.verifyPasses == 0, "without notification the last pass is already full")
   }
 
   test("paper Figure 5: notification mechanism does 8 tau computations in 3 passes") {
@@ -93,6 +94,8 @@ class AndSpec extends AnyFunSuite {
     // whose update notifies b within the same pass; pass 3 is all idle.
     assert(res.tauComputations == 8L)
     assert(res.activeTrace == Vector(6L, 2L, 0L))
+    // Then one full verification pass, counted apart, confirms the fixpoint.
+    assert(res.verifyPasses == 1 && res.verifyTauComputations == 6L)
   }
 
   test("notification never does more tau computations than no-notification") {

@@ -63,6 +63,17 @@ class LocalGraphSpec extends AnyFunSuite {
     }
   }
 
+  test("LongIndex maps every stored key, misses others, and rejects keys beyond its size") {
+    val rnd = new scala.util.Random(1)
+    val keys = Array.fill(5000)(rnd.nextLong() & Long.MaxValue).distinct
+    val ix = new LongIndex(keys.length)
+    keys.indices.foreach(i => ix(keys(i)) = i)
+    assert(keys.indices.forall(i => ix(keys(i)) == i))
+    val stored = keys.toSet
+    assert(Iterator.continually(rnd.nextLong() & Long.MaxValue).filterNot(stored).take(5000).forall(ix(_) == -1))
+    intercept[IllegalArgumentException] { ix(0L) = 0 }
+  }
+
   test("edge ids are assigned in sorted (u,v) order") {
     val g = LocalGraph.fromPairs(Array((2, 3), (0, 5), (0, 1)))
     assert(g.edges.toSeq == Seq((0, 1), (0, 5), (2, 3)))

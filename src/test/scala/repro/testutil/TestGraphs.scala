@@ -33,14 +33,33 @@ object TestGraphs {
     } yield (a, b, c, d)).sorted
   }
 
-  private def adjacency(pairs: Array[(Int, Int)]): Map[Int, Set[Int]] = {
-    val n = if (pairs.isEmpty) 0 else pairs.iterator.map(e => math.max(e._1, e._2)).max + 1
-    (0 until n).map { v =>
-      v -> pairs.iterator.collect {
-        case (a, b) if a == v => b
-        case (a, b) if b == v => a
-      }.toSet
-    }.toMap.withDefaultValue(Set.empty)
+  private def adjacency(pairs: Array[(Int, Int)]): Map[Int, Set[Int]] =
+    pairs.toSeq.flatMap { case (a, b) => Seq(a -> b, b -> a) }
+      .groupMap(_._1)(_._2).view.mapValues(_.toSet).toMap.withDefaultValue(Set.empty)
+
+  /** Deterministic Chung–Lu-style power-law graph (vertex i drawn with
+    * weight (i+1)^-gamma, ``m`` draws) with ``planted`` cliques of ``k``
+    * random vertices unioned in, as canonical pairs. Skewed and locally
+    * dense, so κ spans many levels and AND runs many passes: the fixture
+    * shape of the parallel stress tests.
+    */
+  def powerLaw(n: Int, m: Int, gamma: Double, planted: Int, k: Int, seed: Long): Array[(Int, Int)] = {
+    val rnd = new scala.util.Random(seed)
+    val cum = (1 to n).scanLeft(0.0)((acc, i) => acc + math.pow(i, -gamma)).toArray
+    def draw(): Int = {
+      val i = java.util.Arrays.binarySearch(cum, rnd.nextDouble() * cum(n))
+      math.min(if (i >= 0) i else -i - 2, n - 1)
+    }
+    val es = scala.collection.mutable.HashSet.empty[(Int, Int)]
+    for (_ <- 0 until m) {
+      val u = draw(); val v = draw()
+      if (u != v) es += ((math.min(u, v), math.max(u, v)))
+    }
+    for (_ <- 0 until planted) {
+      val vs = Seq.fill(k)(rnd.nextInt(n)).distinct.sorted
+      for (i <- vs.indices; j <- i + 1 until vs.size) es += ((vs(i), vs(j)))
+    }
+    es.toArray.sorted
   }
 
   /** Build the Materialized structure locally (mirrors what the Spark path
