@@ -10,14 +10,20 @@ package repro.core
   */
 object DegreeLevels {
 
-  /** Level index of every r-clique (0-based). */
-  def levels(h: Hypergraph): Array[Int] = {
-    val n = h.numR
+  /** Level index of every r-clique (0-based). As in [[Peeling]], an
+    * s-clique is alive while none of its other members has been removed, so
+    * it needs no state of its own and every [[Incidence]] gives the same
+    * levels.
+    */
+  def levels(inc: Incidence): Array[Int] = {
+    val n = inc.numR
     val level = new Array[Int](n)
     if (n == 0) return level
-    val deg = h.degrees
+    val deg = inc.degreeCounts(1)
+    val g = new Gathered(inc, deg.max)
+    val o = g.others
+    val sBuf = g.buf
     val removed = new Array[Boolean](n)
-    val sDead = new Array[Boolean](h.numS)
     var remaining = n
     var lvl = 0
     val buf = new Array[Int](n)
@@ -34,18 +40,22 @@ object DegreeLevels {
         if (!removed(i) && deg(i) == minDeg) { buf(cnt) = i; cnt += 1 }
         i += 1
       }
-      // Remove the whole level at once, killing incident s-cliques and
-      // decrementing surviving members' degrees.
+      // Remove the whole level at once: each s-clique of a removed r-clique
+      // that no earlier removal killed decrements its other members' degrees.
       var j = 0
       while (j < cnt) {
         val r = buf(j)
         level(r) = lvl
         removed(r) = true
-        h.foreachIncident(r) { s =>
-          if (!sDead(s)) {
-            sDead(s) = true
-            h.foreachMember(s) { r2 => if (!removed(r2)) deg(r2) -= 1 }
-          }
+        val end = g.load(r) * o
+        var k = 0
+        while (k < end) {
+          var alive = true
+          var q = k
+          while (q < k + o) { if (removed(sBuf(q))) alive = false; q += 1 }
+          q = k
+          while (alive && q < k + o) { deg(sBuf(q)) -= 1; q += 1 }
+          k += o
         }
         j += 1
       }
@@ -56,8 +66,8 @@ object DegreeLevels {
   }
 
   /** Number of levels (Table 4's "Degree Levels" row). */
-  def count(h: Hypergraph): Int = {
-    val l = levels(h)
+  def count(inc: Incidence): Int = {
+    val l = levels(inc)
     if (l.isEmpty) 0 else l.max + 1
   }
 }

@@ -6,8 +6,8 @@ package repro.core
   * as fixed-arity hyperedges over them: k-core is (vertices, edges) with
   * arity 2, k-truss is (edges, triangles) with arity 3, and (3,4) is
   * (triangles, four-cliques) with arity 4. It is the materialized
-  * [[Incidence]]: peeling, SND and AND read it through [[gather]]; the
-  * degree-levels bound walks it directly.
+  * [[Incidence]]: peeling, SND, AND and the degree levels read it through
+  * [[gather]].
   *
   * @param numR    number of r-clique nodes (0..numR-1)
   * @param arity   r-cliques per s-clique, i.e. C(s, r) — constant per (r,s)

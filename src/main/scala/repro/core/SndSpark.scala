@@ -1,25 +1,28 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, Observation, SparkSession}
 import org.apache.spark.sql.functions._
 
-/** Pure-dataflow SND: the update operator 𝒰 expressed as Catalyst joins and
-  * aggregations over the membership relation, iterated to a fixpoint — the
-  * DataFrame rendering of "Pregel-style iterative message passing".
+/** Pure-dataflow SND: the update operator 𝒰 expressed as Catalyst
+  * aggregations, iterated to a fixpoint — the DataFrame rendering of
+  * "Pregel-style iterative message passing", one message round
+  * (r-clique → s-clique → r-clique) per pass.
   *
-  * The membership relation has one row per (s-clique, contained r-clique).
-  * One pass is:
+  * The state is one relation keyed by r-clique, (rid, tau, sids): the ids of
+  * the s-cliques an r-clique belongs to travel with it, so the membership is
+  * never joined again. One pass is two aggregations and no join:
   * {{{
-  *   ρ(S,R)   = min τ of S's other members          (join + per-S sorted list)
-  *   τ'(R)    = H({ρ(S,R) : S ∋ R})                 (groupBy(rid) + h-index)
+  *   S ↦ sorted [(τ(R), R) : R ∈ S]                  (explode sids, groupBy(sid))
+  *   ρ(S,R) = τ of S's first entry, or of its second if R is the first
+  *   τ'(R)  = H({ρ(S,R) : S ∋ R})                    (groupBy(rid), built-in H)
   * }}}
-  * Convergence is detected by counting changed rows; lineage is truncated
-  * every pass with an eager localCheckpoint, which is what makes unbounded
-  * iteration stable under Spark.
+  * The first entry holds S's least τ, so ρ is the least τ of S's *other*
+  * members, ties included. The changed count is an [[Observation]] on the
+  * pass, filled by the same job that runs the eager localCheckpoint (which
+  * truncates lineage, so unbounded iteration stays stable under Spark); no
+  * pass runs a separate count.
   */
 object SndSpark {
-
-  private val hIndexUdf = udf { xs: Seq[Int] => HIndex.naive(xs) }
 
   /** Membership DataFrame (sid, rid) of a local [[Hypergraph]], for tests
     * and jobs that want to drive the dataflow engine from the same input.
@@ -31,42 +34,57 @@ object SndSpark {
     rows.toDF("sid", "rid")
   }
 
+  /** H over an array column: sorted descending, the i-th value (0-based)
+    * counts while it exceeds i.
+    */
+  private[core] def hIndex(xs: Column): Column =
+    size(filter(sort_array(xs, asc = false), (x, i) => x > i))
+
   /** Run to convergence.
     *
     * @param membership (sid, rid) rows; every s-clique must have >= 2 members
     * @param numR       size of the r-clique universe (rids are 0..numR-1;
     *                   rids absent from ``membership`` have κ = 0)
+    * @param maxIters   most passes with a change; a run that needs more
+    *                   throws instead of returning an unconverged τ
+    * @param onPass     optional observer called after every pass with
+    *                   (pass number starting at 1, r-cliques whose τ changed)
     * @return (DataFrame (rid, kappa), iterations-with-change)
     */
   def decompose(spark: SparkSession, membership: DataFrame, numR: Long,
-                maxIters: Int = 1000): (DataFrame, Int) = {
-    val mem = membership.select(col("sid").cast("long"), col("rid").cast("long"))
-      .localCheckpoint(true)
-    val rids = spark.range(numR).select(col("id").as("rid"))
-    var tau = rids
-      .join(mem.groupBy("rid").agg(count(lit(1)).cast("int").as("t")), Seq("rid"), "left")
-      .select(col("rid"), coalesce(col("t"), lit(0)).as("tau"))
+                maxIters: Int = 1000, onPass: (Int, Long) => Unit = null): (DataFrame, Int) = {
+    var state = membership.select(col("sid").cast("long"), col("rid").cast("long"))
+      .groupBy("rid").agg(collect_list(col("sid")).as("sids"))
+      .select(col("rid"), size(col("sids")).as("tau"), col("sids"))
       .localCheckpoint(true)
     var iterations = 0
     var converged = false
-    while (!converged && iterations < maxIters) {
-      val j = mem.join(tau, Seq("rid"))
-      val perS = j.groupBy("sid").agg(sort_array(collect_list(col("tau"))).as("ts"))
-      // min over the *other* members: dropping one occurrence of R's own τ
-      // from the sorted list leaves element_at(ts, 1) or (ts, 2).
-      val rho = j.join(perS, Seq("sid")).select(
-        col("rid"),
-        when(col("tau") === element_at(col("ts"), 1), element_at(col("ts"), 2))
-          .otherwise(element_at(col("ts"), 1)).as("rho"),
-      )
-      val newAgg = rho.groupBy("rid").agg(hIndexUdf(collect_list(col("rho"))).as("ntau"))
-      val next = tau.join(newAgg, Seq("rid"), "left")
-        .select(col("rid"), coalesce(col("ntau"), lit(0)).as("tau"), col("tau").as("prev"))
+    while (!converged) {
+      val perS = state
+        .select(explode(col("sids")).as("sid"), struct(col("tau"), col("rid")).as("m"))
+        .groupBy("sid").agg(sort_array(collect_list(col("m"))).as("ms"))
+      val rho = perS
+        .select(col("sid"), element_at(col("ms"), 1).as("a"), element_at(col("ms"), 2).as("b"),
+                explode(col("ms")).as("m"))
+        .select(col("sid"), col("m.rid").as("rid"), col("m.tau").as("prev"),
+                when(col("m.rid") === col("a.rid"), col("b.tau")).otherwise(col("a.tau")).as("rho"))
+      val changes = Observation()
+      state = rho.groupBy("rid")
+        .agg(hIndex(collect_list(col("rho"))).as("tau"), collect_list(col("sid")).as("sids"),
+             min(col("prev")).as("prev"))
+        .observe(changes, count_if(col("tau") =!= col("prev")).as("changed"))
+        .select(col("rid"), col("tau"), col("sids"))
         .localCheckpoint(true)
-      val changed = next.where(col("tau") =!= col("prev")).count()
-      tau = next.select(col("rid"), col("tau"))
-      if (changed == 0) converged = true else iterations += 1
+      val changed = changes.get("changed").asInstanceOf[Long]
+      if (onPass != null) onPass(iterations + 1, changed)
+      if (changed == 0) converged = true
+      else if (iterations == maxIters)
+        throw new IllegalStateException(s"SndSpark: no fixpoint within maxIters = $maxIters iterations")
+      else iterations += 1
     }
-    (tau.select(col("rid"), col("tau").as("kappa")), iterations)
+    val kappa = spark.range(numR).select(col("id").as("rid"))
+      .join(state, Seq("rid"), "left")
+      .select(col("rid"), coalesce(col("tau"), lit(0)).as("kappa"))
+    (kappa, iterations)
   }
 }

@@ -89,4 +89,14 @@ class DegreeLevelsSpec extends AnyFunSuite {
       }
     }
   }
+
+  test("on-the-fly incidences give the same levels as the hypergraph") {
+    for (seed <- 1 to 6) {
+      val m = TestGraphs.materialize(TestGraphs.randomGraph(16, 0.5, seed))
+      assert(DegreeLevels.levels(new TrussOnTheFly(m.graph)).sameElements(
+               DegreeLevels.levels(NucleusBuilder.trussHypergraph(m))), s"(2,3) seed=$seed")
+      assert(DegreeLevels.levels(new Nucleus34OnTheFly(m.graph, m.tri)).sameElements(
+               DegreeLevels.levels(NucleusBuilder.nucleus34Hypergraph(m))), s"(3,4) seed=$seed")
+    }
+  }
 }
