@@ -46,19 +46,20 @@ object And {
     val maxDeg = if (n == 0) 0 else tau.max
     val c: Array[Boolean] = if (notify) Array.fill(n)(true) else null
     val changed = new java.util.concurrent.atomic.AtomicBoolean(false)
-    val computations = new java.util.concurrent.atomic.AtomicLong(0L)
 
-    /** One pass over ``ord``; returns the h-index evaluations it made. */
+    /** One pass over ``ord``; returns the h-index evaluations it made,
+      * counted per worker and summed after the pass's barrier.
+      */
     def pass(): Long = {
       changed.set(false)
-      val before = computations.get()
-      ParallelFor.dynamic(n, threads)(() => new Gathered(inc, maxDeg)) { (idx, g) =>
+      val workers = new java.util.concurrent.ConcurrentLinkedQueue[Gathered]
+      ParallelFor.dynamic(n, threads)(() => { val g = new Gathered(inc, maxDeg); workers.add(g); g }) { (idx, g) =>
         val r = ord(idx)
         if (c == null || c(r)) {
           // Clear before reading, so a notification that lands while r is
           // being computed survives to the next pass.
           if (c != null) c(r) = false
-          computations.incrementAndGet()
+          g.computations += 1
           g.load(r)
           val hv = g.hIndex(tau)
           val old = tau(r)
@@ -82,7 +83,9 @@ object And {
           }
         }
       }
-      computations.get() - before
+      var sum = 0L
+      workers.forEach(g => sum += g.computations)
+      sum
     }
 
     var iterations = 0

@@ -6,7 +6,8 @@ package repro.core
   * Peeling, SND and AND are written once against this interface. It has
   * three implementations: the materialized CSR [[Hypergraph]], and the
   * on-the-fly [[TrussOnTheFly]] (edge-pair intersection) and
-  * [[Nucleus34OnTheFly]] (common neighbours), which find the s-cliques of an
+  * [[Nucleus34OnTheFly]] (a merge of the triangle's three edges' triangle
+  * lists), which find the s-cliques of an
   * r-clique when asked instead of storing them (the paper's §5 setup).
   *
   * The engines call [[gather]] once per r-clique visit, so the cost of the
@@ -57,6 +58,11 @@ private[core] final class Gathered(inc: Incidence, maxDeg: Int) {
 
   /** s-cliques gathered by the last [[load]]. */
   var len = 0
+
+  /** h-index evaluations this worker made; [[And]] counts them here, one
+    * writer per count, and sums them after each pass.
+    */
+  var computations = 0L
 
   /** Gather the s-cliques of ``r``; returns their count. */
   def load(r: Int): Int = { len = inc.gather(r, buf); len }

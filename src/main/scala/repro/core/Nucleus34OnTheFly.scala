@@ -3,46 +3,53 @@ package repro.core
 import repro.graph.LocalGraph
 
 /** (3,4)-nucleus incidence that finds each triangle's four-cliques *on the
-  * fly*: the K4s of triangle (a,b,c) are the common neighbours d of all
-  * three vertices, and the three other faces are resolved through a
-  * [[TriangleIndex]]. Mirrors the paper's no-materialization implementation
-  * (see [[TrussOnTheFly]] for the rationale); Table 5 times it.
+  * fly*: the K4s of triangle (a,b,c) are the third vertices d common to the
+  * triangle lists of its three edges ab, ac and bc in a [[TriangleIndex]],
+  * found by merging the three sorted lists (Chiba & Nishizeki's
+  * sorted-list intersection). Only triangles are indexed; the K4s are never
+  * stored, as in the paper's no-materialization implementation (see
+  * [[TrussOnTheFly]] for the rationale). Table 5 times it.
   *
   * @param tri stride-3 flattened triangle list (a < b < c), ids = offsets
   */
 final class Nucleus34OnTheFly(g: LocalGraph, tri: Array[Int]) extends Incidence {
   val numTriangles: Int = tri.length / 3
-  private val tid = new TriangleIndex(g.n, tri)
+  private val ix = TriangleIndex(g, tri)
 
   def numR: Int = numTriangles
   def others: Int = 3
 
-  /** The K4s of triangle ``t`` as the ids of their three other faces.
-    * Scans the smallest-degree corner's adjacency with two edge probes per
-    * candidate — the on-the-fly cost.
+  /** The K4s of triangle ``t`` as the ids of their three other faces (abd,
+    * acd, bcd), ascending in d: a three-way merge of the triangle lists of
+    * edges ab, ac and bc, with no hash probe.
     */
   def gather(t: Int, buf: Array[Int]): Int = {
-    val a = tri(3 * t); val b = tri(3 * t + 1); val c = tri(3 * t + 2)
-    var x = a; var y = b; var z = c
-    if (g.degree(y) < g.degree(x)) { val s = x; x = y; y = s }
-    if (g.degree(z) < g.degree(x)) { val s = x; x = z; z = s }
+    val off = ix.off; val third = ix.third; val ids = ix.ids
+    val eab = ix.triEdges(3 * t); val eac = ix.triEdges(3 * t + 1); val ebc = ix.triEdges(3 * t + 2)
+    var i = off(eab); val iEnd = off(eab + 1)
+    var j = off(eac); val jEnd = off(eac + 1)
+    var k = off(ebc); val kEnd = off(ebc + 1)
     var len = 0
-    var i = g.adjOff(x)
-    while (i < g.adjOff(x + 1)) {
-      val d = g.adjVtx(i)
-      if (d != y && d != z && g.hasEdge(y, d) && g.hasEdge(z, d)) {
-        buf(len) = tid.of(a, b, d); buf(len + 1) = tid.of(a, c, d); buf(len + 2) = tid.of(b, c, d)
+    while (i < iEnd && j < jEnd && k < kEnd) {
+      val x = third(i); val y = third(j); val z = third(k)
+      if (x == y && y == z) {
+        buf(len) = ids(i); buf(len + 1) = ids(j); buf(len + 2) = ids(k)
         len += 3
+        i += 1; j += 1; k += 1
+      } else {
+        val d = math.max(x, math.max(y, z))
+        if (x < d) i += 1
+        if (y < d) j += 1
+        if (z < d) k += 1
       }
-      i += 1
     }
     len / 3
   }
 
   /** Parallel per-triangle K4 counts; a triangle lies in fewer K4s than
-    * its corners have neighbours.
+    * any of its edges has triangles.
     */
-  def degreeCounts(threads: Int): Array[Int] = countByGather(threads, g.maxDegree)
+  def degreeCounts(threads: Int): Array[Int] = countByGather(threads, ix.maxPerEdge)
 
   def fourCliqueCounts(threads: Int): Array[Int] = degreeCounts(threads)
 

@@ -11,6 +11,11 @@ import repro.graph.{GraphOps, LocalGraph}
   */
 object NucleusBuilder {
 
+  /** Length of a flat array of ``count`` rows of ``stride`` ids; throws
+    * ``ArithmeticException`` where it would overflow an Int.
+    */
+  def flatSize(count: Int, stride: Int): Int = Math.multiplyExact(count, stride)
+
   /** Collected clique structure of one graph.
     *
     * ``tri`` is stride-3 flattened (a,b,c) with a < b < c; ``quad`` is
@@ -34,7 +39,7 @@ object NucleusBuilder {
       val triDf = Triangles.enumerate(relabeled).cache()
       try {
         val triRows = triDf.collect()
-        val tri = new Array[Int](triRows.length * 3)
+        val tri = new Array[Int](flatSize(triRows.length, 3))
         var i = 0
         while (i < triRows.length) {
           val r = triRows(i)
@@ -45,7 +50,7 @@ object NucleusBuilder {
         }
         if (maxS <= 3) return Materialized(g, tri, Array.emptyIntArray)
         val quadRows = FourCliques.enumerate(relabeled, triDf).collect()
-        val quad = new Array[Int](quadRows.length * 4)
+        val quad = new Array[Int](flatSize(quadRows.length, 4))
         i = 0
         while (i < quadRows.length) {
           val r = quadRows(i)
@@ -63,7 +68,7 @@ object NucleusBuilder {
   /** (1,2): r-cliques are vertices, s-cliques are edges. */
   def coreHypergraph(m: Materialized): Hypergraph = {
     val g = m.graph
-    val flat = new Array[Int](2 * g.m)
+    val flat = new Array[Int](flatSize(g.m, 2))
     var e = 0
     while (e < g.m) {
       flat(2 * e) = g.edges(e)._1
@@ -77,7 +82,7 @@ object NucleusBuilder {
   def trussHypergraph(m: Materialized): Hypergraph = {
     val g = m.graph
     val nT = m.numTriangles
-    val flat = new Array[Int](3 * nT)
+    val flat = new Array[Int](flatSize(nT, 3))
     var t = 0
     while (t < nT) {
       val a = m.tri(3 * t); val b = m.tri(3 * t + 1); val c = m.tri(3 * t + 2)
@@ -89,19 +94,26 @@ object NucleusBuilder {
     new Hypergraph(g.m, 3, flat)
   }
 
-  /** (3,4): r-cliques are triangles, s-cliques are four-cliques. */
+  /** (3,4): r-cliques are triangles, s-cliques are four-cliques. Each K4's
+    * faces come from the [[TriangleIndex]]: one edge-id probe for ab, then
+    * binary searches of the triangle lists of ab, ac and bc, the last two
+    * edges read from the found triangle abc.
+    */
   def nucleus34Hypergraph(m: Materialized): Hypergraph = {
-    val triId = new TriangleIndex(m.graph.n, m.tri)
+    val g = m.graph
+    val ix = TriangleIndex(g, m.tri)
     val nQ = m.numQuads
-    val flat = new Array[Int](4 * nQ)
+    val flat = new Array[Int](flatSize(nQ, 4))
     var q = 0
     while (q < nQ) {
       val a = m.quad(4 * q); val b = m.quad(4 * q + 1)
       val c = m.quad(4 * q + 2); val d = m.quad(4 * q + 3)
-      flat(4 * q) = triId(a, b, c)
-      flat(4 * q + 1) = triId(a, b, d)
-      flat(4 * q + 2) = triId(a, c, d)
-      flat(4 * q + 3) = triId(b, c, d)
+      val eab = g.edgeId(a, b)
+      val abc = ix.find(eab, c)
+      flat(4 * q) = abc
+      flat(4 * q + 1) = ix.find(eab, d)
+      flat(4 * q + 2) = ix.find(ix.triEdges(3 * abc + 1), d)
+      flat(4 * q + 3) = ix.find(ix.triEdges(3 * abc + 2), d)
       q += 1
     }
     new Hypergraph(m.numTriangles, 4, flat)

@@ -9,9 +9,9 @@ import org.apache.spark.sql.DataFrame
   * Vertices are 0..n-1; ``edges(e) = (u, v)`` with ``u < v``; ``adj`` is a
   * CSR over undirected neighbours; ``incEdges`` is the parallel CSR holding
   * the edge id of each adjacency slot, so edge-centric algorithms (k-truss)
-  * can map a neighbour back to its edge. [[edgeId]] and [[hasEdge]] go
-  * through one hashed edge index, shared by the truss hypergraph build and
-  * both on-the-fly incidences.
+  * can map a neighbour back to its edge. [[edgeId]] goes through one hashed
+  * edge index, shared by the hypergraph builds, the triangle index and the
+  * on-the-fly truss incidence.
   */
 final class LocalGraph(
     val n: Int,
@@ -47,9 +47,6 @@ final class LocalGraph(
   /** Edge id of (u, v) if present (endpoints in any order), else -1. */
   def edgeId(u: Int, v: Int): Int =
     edgeIndex(if (u < v) u.toLong * n + v else v.toLong * n + u)
-
-  /** Whether (u, v) is an edge (endpoints in any order). */
-  def hasEdge(u: Int, v: Int): Boolean = edgeId(u, v) >= 0
 }
 
 object LocalGraph {

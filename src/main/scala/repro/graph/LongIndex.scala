@@ -2,9 +2,9 @@ package repro.graph
 
 /** Open-addressing hash from non-negative Long keys to Int values, sized
   * for ``size`` keys and at most half full. Primitive arrays keep it
-  * compact and its lookups free of allocation: the edge-id and
-  * triangle-id indices are built on it, and the on-the-fly engines probe
-  * them for every candidate s-clique.
+  * compact and its lookups free of allocation: the edge-id index of
+  * [[LocalGraph]] is built on it, and the on-the-fly truss engine probes it
+  * for every candidate triangle.
   */
 final class LongIndex(size: Int) {
   private val mask = (Integer.highestOneBit(math.max(2, 2 * size)) << 1) - 1

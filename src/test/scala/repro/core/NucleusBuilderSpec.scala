@@ -69,4 +69,9 @@ class NucleusBuilderSpec extends SparkSpec {
     val m = TestGraphs.materialize(TestGraphs.complete(4))
     intercept[RuntimeException] { NucleusBuilder.hypergraph(m, 2, 4) }
   }
+
+  test("flat sizes fail loudly past Int.MaxValue") {
+    assert(NucleusBuilder.flatSize(Int.MaxValue / 4, 4) == Int.MaxValue / 4 * 4)
+    for (stride <- 2 to 4) intercept[ArithmeticException](NucleusBuilder.flatSize(Int.MaxValue / stride + 1, stride))
+  }
 }
