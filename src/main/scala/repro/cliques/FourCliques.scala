@@ -30,19 +30,4 @@ object FourCliques {
 
   /** Total K4 count. */
   def count(edges: DataFrame): Long = enumerate(edges).count()
-
-  /** Per-triangle K4 participation (a, b, c, k4) — the S-degree d_4 of each
-    * triangle; triangles in no K4 get k4 = 0.
-    */
-  def perTriangleCounts(edges: DataFrame, triangles: DataFrame): DataFrame = {
-    val q = enumerate(edges, triangles)
-    val faces = q.select(col("a"), col("b"), col("c"))
-      .union(q.select(col("a"), col("b"), col("d").as("c")))
-      .union(q.select(col("a"), col("c").as("b"), col("d").as("c")))
-      .union(q.select(col("b").as("a"), col("c").as("b"), col("d").as("c")))
-    val counts = faces.groupBy("a", "b", "c")
-      .agg(org.apache.spark.sql.functions.count(lit(1)).as("k4"))
-    triangles.join(counts, Seq("a", "b", "c"), "left")
-      .select(col("a"), col("b"), col("c"), coalesce(col("k4"), lit(0L)).as("k4"))
-  }
 }

@@ -25,18 +25,4 @@ object Triangles {
 
   /** Total triangle count. */
   def count(edges: DataFrame): Long = enumerate(edges).count()
-
-  /** Per-edge triangle participation (u, v, tri) — the S-degree d_3 of each
-    * edge; edges in no triangle are included with tri = 0.
-    */
-  def perEdgeCounts(edges: DataFrame): DataFrame = {
-    val t = enumerate(edges)
-    val sides = t.select(col("a").as("u"), col("b").as("v"))
-      .union(t.select(col("a").as("u"), col("c").as("v")))
-      .union(t.select(col("b").as("u"), col("c").as("v")))
-    val counts = sides.groupBy("u", "v")
-      .agg(org.apache.spark.sql.functions.count(lit(1)).as("tri"))
-    edges.join(counts, Seq("u", "v"), "left")
-      .select(col("u"), col("v"), coalesce(col("tri"), lit(0L)).as("tri"))
-  }
 }

@@ -89,16 +89,14 @@ object And {
     }
 
     var iterations = 0
-    var passes = 0
     var active = Vector.empty[Long]
     var verifyPasses = 0
     var verifyComputations = 0L
     var go = n > 0
     while (go) {
-      passes += 1
       active :+= pass()
       if (changed.get()) iterations += 1 else go = false
-      if (onIteration != null) onIteration(passes, tau.clone())
+      if (onIteration != null) onIteration(active.length, tau.clone())
       if (!go && c != null) {
         java.util.Arrays.fill(c, true)
         verifyPasses += 1
@@ -106,6 +104,6 @@ object And {
         go = changed.get()
       }
     }
-    IterResult(tau, iterations, passes, active.sum, active, verifyPasses, verifyComputations)
+    IterResult(tau, iterations, active, verifyPasses, verifyComputations)
   }
 }

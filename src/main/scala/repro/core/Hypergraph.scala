@@ -20,13 +20,11 @@ final class Hypergraph(val numR: Int, val arity: Int, val members: Array[Int]) e
   /** Number of s-clique hyperedges. */
   val numS: Int = members.length / arity
 
-  /** CSR incidence: r-clique -> indices of s-cliques containing it. */
+  /** CSR offsets: r-clique r's incidence slots are [incOff(r), incOff(r+1)). */
   val incOff: Array[Int] = new Array[Int](numR + 1)
-  val incS: Array[Int] = new Array[Int](members.length)
 
-  /** For each slot of [[incS]], the other members of its s-clique in
-    * member order, [[others]] ids per slot: [[gather]] is then one
-    * sequential copy.
+  /** For each incidence slot, the other members of its s-clique in member
+    * order, [[others]] ids per slot: [[gather]] is then one sequential copy.
     */
   private val incOthers = new Array[Int](Math.multiplyExact(members.length, arity - 1))
 
@@ -44,7 +42,6 @@ final class Hypergraph(val numR: Int, val arity: Int, val members: Array[Int]) e
         val r = members(base + p)
         val slot = cur(r)
         cur(r) += 1
-        incS(slot) = j
         var w = slot * (arity - 1)
         var q = 0
         while (q < arity) {
@@ -63,9 +60,6 @@ final class Hypergraph(val numR: Int, val arity: Int, val members: Array[Int]) e
   /** Fresh copy of all S-degrees (the τ₀ of the iterative algorithms). */
   def degrees: Array[Int] = Array.tabulate(numR)(degree)
 
-  /** Largest S-degree over all r-cliques (0 for an empty hypergraph). */
-  def maxDegree: Int = if (numR == 0) 0 else (0 until numR).map(degree).max
-
   def others: Int = arity - 1
 
   /** The stored degrees; counting costs nothing, so ``threads`` is unused. */
@@ -74,18 +68,6 @@ final class Hypergraph(val numR: Int, val arity: Int, val members: Array[Int]) e
   def gather(r: Int, buf: Array[Int]): Int = {
     System.arraycopy(incOthers, incOff(r) * others, buf, 0, degree(r) * others)
     degree(r)
-  }
-
-  /** Iterate the member r-cliques of s-clique ``s``. */
-  @inline def foreachMember(s: Int)(f: Int => Unit): Unit = {
-    var k = s * arity
-    while (k < (s + 1) * arity) { f(members(k)); k += 1 }
-  }
-
-  /** Iterate the s-cliques incident to r-clique ``r``. */
-  @inline def foreachIncident(r: Int)(f: Int => Unit): Unit = {
-    var k = incOff(r)
-    while (k < incOff(r + 1)) { f(incS(k)); k += 1 }
   }
 }
 

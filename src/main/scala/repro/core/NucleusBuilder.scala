@@ -78,21 +78,11 @@ object NucleusBuilder {
     new Hypergraph(g.n, 2, flat)
   }
 
-  /** (2,3): r-cliques are edges, s-cliques are triangles. */
-  def trussHypergraph(m: Materialized): Hypergraph = {
-    val g = m.graph
-    val nT = m.numTriangles
-    val flat = new Array[Int](flatSize(nT, 3))
-    var t = 0
-    while (t < nT) {
-      val a = m.tri(3 * t); val b = m.tri(3 * t + 1); val c = m.tri(3 * t + 2)
-      flat(3 * t) = g.edgeId(a, b)
-      flat(3 * t + 1) = g.edgeId(a, c)
-      flat(3 * t + 2) = g.edgeId(b, c)
-      t += 1
-    }
-    new Hypergraph(g.m, 3, flat)
-  }
+  /** (2,3): r-cliques are edges, s-cliques are triangles, whose members
+    * are their edge ids (ab, ac, bc) from [[TriangleIndex.edgeIds]].
+    */
+  def trussHypergraph(m: Materialized): Hypergraph =
+    new Hypergraph(m.graph.m, 3, TriangleIndex.edgeIds(m.graph, m.tri))
 
   /** (3,4): r-cliques are triangles, s-cliques are four-cliques. Each K4's
     * faces come from the [[TriangleIndex]]: one edge-id probe for ab, then

@@ -16,7 +16,7 @@ import scala.collection.concurrent.TrieMap
 object ParallelFor {
 
   /** Chunk size; the paper uses 100 and reports insensitivity to the value. */
-  val DefaultChunk = 100
+  val Chunk = 100
 
   // One daemon pool per requested thread count, reused across the thousands
   // of passes a convergence run makes (thread spawn per pass would dominate
@@ -30,13 +30,13 @@ object ParallelFor {
       t
     }))
 
-  /** Run ``body(i, scratch)`` for every i in [0, n) on ``threads`` workers.
-    * ``mkScratch`` is invoked once per worker. With threads <= 1 the loop
-    * runs inline (deterministic sequential order 0..n-1).
+  /** Run ``body(i, scratch)`` for every i in [0, n) on ``threads`` workers,
+    * [[Chunk]] indices at a time. ``mkScratch`` is invoked once per worker.
+    * With threads <= 1 or n <= [[Chunk]] the loop runs inline
+    * (deterministic sequential order 0..n-1).
     */
-  def dynamic[S](n: Int, threads: Int, chunk: Int = DefaultChunk)
-                (mkScratch: () => S)(body: (Int, S) => Unit): Unit = {
-    if (threads <= 1 || n <= chunk) {
+  def dynamic[S](n: Int, threads: Int)(mkScratch: () => S)(body: (Int, S) => Unit): Unit = {
+    if (threads <= 1 || n <= Chunk) {
       val s = mkScratch()
       var i = 0
       while (i < n) { body(i, s); i += 1 }
@@ -51,12 +51,12 @@ object ParallelFor {
       p.execute { () =>
         try {
           val s = mkScratch()
-          var lo = next.getAndAdd(chunk)
+          var lo = next.getAndAdd(Chunk)
           while (lo < n && err.get() == null) {
-            val hi = math.min(lo + chunk, n)
+            val hi = math.min(lo + Chunk, n)
             var i = lo
             while (i < hi) { body(i, s); i += 1 }
-            lo = next.getAndAdd(chunk)
+            lo = next.getAndAdd(Chunk)
           }
         } catch { case e: Throwable => err.compareAndSet(null, e) }
         finally done.countDown()

@@ -4,25 +4,27 @@ package repro.core
   *
   * @param kappa           converged κ_s indices
   * @param iterations      passes in which at least one τ changed
-  * @param passes          total passes executed (iterations + the final
-  *                        no-change pass that detects convergence)
-  * @param tauComputations number of h-index evaluations performed (τ₀
-  *                        initialization excluded)
   * @param activeTrace     per-pass count of r-cliques actually recomputed
   * @param verifyPasses    AND with notification only: full passes run
   *                        after a no-change pass to confirm the fixpoint;
-  *                        counted in none of the fields above
+  *                        counted in none of the other fields
   * @param verifyTauComputations h-index evaluations of those passes
   */
 final case class IterResult(
     kappa: Array[Int],
     iterations: Int,
-    passes: Int,
-    tauComputations: Long,
     activeTrace: Vector[Long],
     verifyPasses: Int = 0,
     verifyTauComputations: Long = 0L,
-)
+) {
+  /** Total passes executed (iterations + the final no-change pass that
+    * detects convergence).
+    */
+  def passes: Int = activeTrace.length
+
+  /** Number of h-index evaluations performed (τ₀ initialization excluded). */
+  def tauComputations: Long = activeTrace.sum
+}
 
 /** SND — Synchronous Nucleus Decomposition (Algorithm 2).
   *
@@ -51,12 +53,9 @@ object Snd {
     val maxDeg = if (n == 0) 0 else tau.max
     val changed = new java.util.concurrent.atomic.AtomicBoolean(false)
     var iterations = 0
-    var passes = 0
-    var tauComputations = 0L
     var active = Vector.empty[Long]
     var go = n > 0
     while (go) {
-      passes += 1
       System.arraycopy(tau, 0, tauP, 0, n)
       changed.set(false)
       ParallelFor.dynamic(n, threads)(() => new Gathered(inc, maxDeg)) { (r, g) =>
@@ -65,11 +64,10 @@ object Snd {
         if (hv != tauP(r)) changed.set(true)
         tau(r) = hv
       }
-      tauComputations += n
       active :+= n.toLong
       if (changed.get()) iterations += 1 else go = false
-      if (onIteration != null) onIteration(passes, tau.clone())
+      if (onIteration != null) onIteration(active.length, tau.clone())
     }
-    IterResult(tau, iterations, passes, tauComputations, active)
+    IterResult(tau, iterations, active)
   }
 }

@@ -33,21 +33,30 @@ final class TriangleIndex private (
 
 object TriangleIndex {
 
-  /** Index the triangles ``tri`` of ``g`` in O(n + m + T): three edge-id
-    * probes per triangle, then two counting sorts of the (edge, third
-    * vertex) slots, by third vertex and then stably by edge.
+  /** Edge ids (ab, ac, bc) of each triangle of the stride-3 list ``tri``,
+    * flattened the same way; throws ``IllegalArgumentException`` if a listed
+    * triple is not a triangle of ``g``. The (2,3) hypergraph's members.
     */
-  def apply(g: LocalGraph, tri: Array[Int]): TriangleIndex = {
-    val len = tri.length
-    val triEdges = new Array[Int](len)
+  def edgeIds(g: LocalGraph, tri: Array[Int]): Array[Int] = {
+    val triEdges = new Array[Int](tri.length)
     var t = 0
-    while (t < len / 3) {
+    while (t < tri.length / 3) {
       val a = tri(3 * t); val b = tri(3 * t + 1); val c = tri(3 * t + 2)
       val ab = g.edgeId(a, b); val ac = g.edgeId(a, c); val bc = g.edgeId(b, c)
       require(ab >= 0 && ac >= 0 && bc >= 0, s"($a,$b,$c) is not a triangle of the graph")
       triEdges(3 * t) = ab; triEdges(3 * t + 1) = ac; triEdges(3 * t + 2) = bc
       t += 1
     }
+    triEdges
+  }
+
+  /** Index the triangles ``tri`` of ``g`` in O(n + m + T): three edge-id
+    * probes per triangle ([[edgeIds]]), then two counting sorts of the
+    * (edge, third vertex) slots, by third vertex and then stably by edge.
+    */
+  def apply(g: LocalGraph, tri: Array[Int]): TriangleIndex = {
+    val len = tri.length
+    val triEdges = edgeIds(g, tri)
     // Slot j = 3t + k pairs triangle t's k-th edge (ab, ac, bc) with the
     // corner off that edge (c, b, a): tri(3t + 2 - k).
     def corner(j: Int): Int = tri(j - j % 3 + 2 - j % 3)

@@ -36,12 +36,12 @@ object GraphOps {
     edges.select(col("u").as("id")).union(edges.select(col("v").as("id")))
       .groupBy("id").agg(count(lit(1)).cast("long").as("deg"))
 
-  /** Relabel vertices as 0..n-1 in non-decreasing (degree, id) order and
-    * return the canonical edge DataFrame in the new id space. With this
-    * labelling the orientation ``u < v`` is the standard degree-ordered
-    * orientation, which bounds the out-degree of every vertex by the graph
-    * degeneracy-ish O(sqrt(m)) and keeps triangle/K4 join fan-out small on
-    * skewed graphs.
+  /** Relabel the vertices of a canonical edge DataFrame as 0..n-1 in
+    * non-decreasing (degree, id) order and return it, still canonical, in
+    * the new id space. With this labelling the orientation ``u < v`` is the
+    * standard degree-ordered orientation, which bounds the out-degree of
+    * every vertex by the graph degeneracy-ish O(sqrt(m)) and keeps
+    * triangle/K4 join fan-out small on skewed graphs.
     */
   def relabelByDegree(edges: DataFrame): DataFrame = {
     val spark = edges.sparkSession
@@ -52,7 +52,10 @@ object GraphOps {
       .map { case ((id, _), i) => (id, i.toLong) }.toMap
     val rankB = spark.sparkContext.broadcast(rank)
     val remap = udf((id: Long) => rankB.value(id))
-    canonicalize(edges.select(remap(col("u")).as("u"), remap(col("v")).as("v")))
+    // The relabel is a bijection, so canonical input stays loop- and
+    // duplicate-free: reordering each edge's endpoints is all it needs.
+    edges.select(remap(col("u")).as("a"), remap(col("v")).as("b"))
+      .select(least(col("a"), col("b")).as("u"), greatest(col("a"), col("b")).as("v"))
   }
 
   /** (|V|, |E|) of a canonical edge DataFrame. */

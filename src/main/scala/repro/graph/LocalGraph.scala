@@ -53,11 +53,12 @@ object LocalGraph {
 
   /** Build from a canonical edge DataFrame (columns ``u``, ``v``; u < v).
     * Vertex ids must already be dense 0..n-1 (use
-    * [[GraphOps.relabelByDegree]] first); edge ids are assigned in sorted
-    * (u, v) order so they are deterministic for a given graph.
+    * [[GraphOps.relabelByDegree]] first); an id past the Int range throws
+    * ``ArithmeticException``. Edge ids are assigned in sorted (u, v) order
+    * so they are deterministic for a given graph.
     */
   def fromEdges(edges: DataFrame): LocalGraph = {
-    val pairs = edges.collect().map(r => (r.getLong(0).toInt, r.getLong(1).toInt))
+    val pairs = edges.collect().map(r => (Math.toIntExact(r.getLong(0)), Math.toIntExact(r.getLong(1))))
     fromPairs(pairs)
   }
 

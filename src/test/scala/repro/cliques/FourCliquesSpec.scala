@@ -60,18 +60,4 @@ class FourCliquesSpec extends SparkSpec {
         |  AND CAST(ac.v AS BIGINT) < CAST(ad.v AS BIGINT)""".stripMargin,
       "edges" -> edges)
   }
-
-  test("per-triangle counts on K6 are all 3") {
-    val edges = GraphGen.complete(spark, 6)
-    val tri = Triangles.enumerate(edges)
-    val counts = FourCliques.perTriangleCounts(edges, tri).select("k4").as[Long].collect()
-    assert(counts.length == 20 && counts.forall(_ == 3))
-  }
-
-  test("per-triangle counts include zero rows for K4-free triangles") {
-    val diamond = Seq((0L, 1L), (0L, 2L), (1L, 2L), (1L, 3L), (2L, 3L)).toDF("u", "v")
-    val tri = Triangles.enumerate(diamond)
-    val counts = FourCliques.perTriangleCounts(diamond, tri).select("k4").as[Long].collect()
-    assert(counts.length == 2 && counts.forall(_ == 0))
-  }
 }

@@ -7,7 +7,7 @@ class HypergraphSpec extends AnyFunSuite {
 
   test("empty hypergraph") {
     val h = Hypergraph.fromSeqs(0, 2, Seq.empty)
-    assert(h.numR == 0 && h.numS == 0 && h.maxDegree == 0)
+    assert(h.numR == 0 && h.numS == 0 && h.degrees.isEmpty)
   }
 
   test("isolated r-cliques get degree 0") {
@@ -19,22 +19,12 @@ class HypergraphSpec extends AnyFunSuite {
   test("incidence CSR is consistent with membership") {
     val sCliques = Seq(Seq(0, 1, 2), Seq(1, 2, 3), Seq(0, 2, 3))
     val h = Hypergraph.fromSeqs(4, 3, sCliques)
+    val buf = new Array[Int](sCliques.length * h.others)
     for (r <- 0 until 4) {
-      val expected = sCliques.zipWithIndex.collect { case (sc, i) if sc.contains(r) => i }.toSet
-      val got = scala.collection.mutable.Set.empty[Int]
-      h.foreachIncident(r)(got += _)
-      assert(got == expected, s"incidence of r-clique $r")
+      val expected = sCliques.filter(_.contains(r)).map(_.filter(_ != r))
+      val got = buf.take(h.gather(r, buf) * h.others).grouped(h.others).map(_.toSeq).toSeq
+      assert(got.length == expected.length && got.toSet == expected.toSet, s"incidence of r-clique $r")
     }
-  }
-
-  test("foreachMember yields the defining members in order") {
-    val h = Hypergraph.fromSeqs(6, 4, Seq(Seq(5, 3, 1, 0), Seq(2, 4, 1, 3)))
-    val got = scala.collection.mutable.ArrayBuffer.empty[Int]
-    h.foreachMember(0)(got += _)
-    assert(got.toSeq == Seq(5, 3, 1, 0))
-    got.clear()
-    h.foreachMember(1)(got += _)
-    assert(got.toSeq == Seq(2, 4, 1, 3))
   }
 
   test("degrees array equals per-node degree") {

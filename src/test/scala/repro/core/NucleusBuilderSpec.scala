@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.graph.LocalGraph
 import repro.synth.GraphGen
 import repro.testutil.TestGraphs
 
@@ -44,7 +45,7 @@ class NucleusBuilderSpec extends SparkSpec {
     val h = NucleusBuilder.trussHypergraph(m)
     for (t <- 0 until m.numTriangles) {
       val vs = Set(m.tri(3 * t), m.tri(3 * t + 1), m.tri(3 * t + 2))
-      h.foreachMember(t) { e =>
+      h.members.slice(3 * t, 3 * t + 3).foreach { e =>
         val (a, b) = m.graph.edges(e)
         assert(vs.contains(a) && vs.contains(b))
       }
@@ -58,11 +59,18 @@ class NucleusBuilderSpec extends SparkSpec {
     for (q <- 0 until m.numQuads) {
       val vs = Set(m.quad(4 * q), m.quad(4 * q + 1), m.quad(4 * q + 2), m.quad(4 * q + 3))
       val faces = scala.collection.mutable.Set.empty[Set[Int]]
-      h.foreachMember(q) { t =>
+      h.members.slice(4 * q, 4 * q + 4).foreach { t =>
         faces += Set(m.tri(3 * t), m.tri(3 * t + 1), m.tri(3 * t + 2))
       }
       assert(faces.size == 4 && faces.forall(_.subsetOf(vs)))
     }
+  }
+
+  test("truss hypergraph rejects a listed non-triangle") {
+    // (1,2,3) is a path: the graph has no edge (1,3).
+    val g = LocalGraph.fromPairs(Array((0, 1), (0, 2), (1, 2), (2, 3)))
+    val m = NucleusBuilder.Materialized(g, Array(0, 1, 2, 1, 2, 3), Array.emptyIntArray)
+    intercept[IllegalArgumentException] { NucleusBuilder.trussHypergraph(m) }
   }
 
   test("hypergraph dispatch rejects unsupported (r,s)") {

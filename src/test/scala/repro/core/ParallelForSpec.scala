@@ -29,20 +29,22 @@ class ParallelForSpec extends AnyFunSuite {
   }
 
   test("more threads than work still covers everything") {
-    val seen = new java.util.concurrent.atomic.AtomicIntegerArray(3)
-    ParallelFor.dynamic(3, 16, chunk = 1)(() => ())((i, _) => seen.incrementAndGet(i))
-    assert((0 until 3).forall(seen.get(_) == 1))
+    // Two chunks of work for sixteen workers.
+    val n = ParallelFor.Chunk + 50
+    val seen = new java.util.concurrent.atomic.AtomicIntegerArray(n)
+    ParallelFor.dynamic(n, 16)(() => ())((i, _) => seen.incrementAndGet(i))
+    assert((0 until n).forall(seen.get(_) == 1))
   }
 
   test("each worker gets its own scratch") {
     val scratches = java.util.concurrent.ConcurrentHashMap.newKeySet[AnyRef]()
-    ParallelFor.dynamic(5000, 4, chunk = 10)(() => new Object) { (_, s) => scratches.add(s); () }
+    ParallelFor.dynamic(5000, 4)(() => new Object) { (_, s) => scratches.add(s); () }
     assert(scratches.size <= 4 && scratches.size >= 1)
   }
 
   test("exceptions propagate to the caller") {
     val e = intercept[RuntimeException] {
-      ParallelFor.dynamic(1000, 4, chunk = 1)(() => ()) { (i, _) =>
+      ParallelFor.dynamic(1000, 4)(() => ()) { (i, _) =>
         if (i == 500) throw new RuntimeException("boom")
       }
     }

@@ -1,9 +1,9 @@
 package repro.graph
 
-import org.scalatest.funsuite.AnyFunSuite
+import repro.SparkSpec
 import repro.testutil.TestGraphs
 
-class LocalGraphSpec extends AnyFunSuite {
+class LocalGraphSpec extends SparkSpec {
 
   test("empty graph") {
     val g = LocalGraph.fromPairs(Array.empty)
@@ -14,6 +14,13 @@ class LocalGraphSpec extends AnyFunSuite {
     val g = LocalGraph.fromPairs(Array((0, 1)))
     assert(g.n == 2 && g.m == 1 && g.degree(0) == 1 && g.degree(1) == 1)
     assert(g.edgeId(0, 1) == 0 && g.edgeId(1, 0) == 0)
+  }
+
+  test("fromEdges fails loudly on ids past the Int range") {
+    import spark.implicits._
+    // Narrowing would read (1, 2^32 + 2) as the edge (1, 2).
+    intercept[ArithmeticException] { LocalGraph.fromEdges(Seq((1L, (1L << 32) + 2)).toDF("u", "v")) }
+    assert(LocalGraph.fromEdges(Seq((1L, 2L)).toDF("u", "v")).edgeId(1, 2) == 0)
   }
 
   test("rejects non-canonical edges") {

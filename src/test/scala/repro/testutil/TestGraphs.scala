@@ -81,29 +81,28 @@ object TestGraphs {
   /** Independent κ_s oracle straight from Definitions 2–3: for every k,
     * compute the maximal sub-hypergraph where each surviving r-clique is
     * contained in >= k surviving s-cliques (an s-clique survives iff all its
-    * members survive); survivors have κ_s >= k. O(maxdeg · iterations ·
-    * size) — fine for test-sized graphs, and structurally unlike the bucket
-    * peeling implementation it validates.
+    * members survive); survivors have κ_s >= k. It reads only the raw
+    * member lists, never the incidence CSR the engines use. O(maxdeg ·
+    * iterations · size) — fine for test-sized graphs, and structurally
+    * unlike the bucket peeling implementation it validates.
     */
   def kappaByDefinition(h: Hypergraph): Array[Int] = {
     val kappa = new Array[Int](h.numR)
-    val maxDeg = h.maxDegree
-    for (k <- 1 to maxDeg) {
+    val sCliques = h.members.grouped(h.arity).toArray
+    var k = 1
+    var survivors = h.numR > 0
+    while (survivors) {
       val alive = Array.fill(h.numR)(true)
       var changed = true
       while (changed) {
+        val d = new Array[Int](h.numR)
+        for (sc <- sCliques if sc.forall(alive)) sc.foreach(r => d(r) += 1)
         changed = false
-        for (r <- 0 until h.numR if alive(r)) {
-          var d = 0
-          h.foreachIncident(r) { s =>
-            var all = true
-            h.foreachMember(s) { r2 => if (!alive(r2)) all = false }
-            if (all) d += 1
-          }
-          if (d < k) { alive(r) = false; changed = true }
-        }
+        for (r <- 0 until h.numR if alive(r) && d(r) < k) { alive(r) = false; changed = true }
       }
       for (r <- 0 until h.numR if alive(r)) kappa(r) = k
+      survivors = alive.contains(true)
+      k += 1
     }
     kappa
   }
