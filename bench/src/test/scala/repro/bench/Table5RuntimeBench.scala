@@ -5,8 +5,8 @@ import repro.harness.Table5Harness
 import repro.synth.Proxies
 
 /** Reproduces Table 5 (and Table 1, its (3,4) subset): decomposition
-  * runtime of sequential peeling vs parallel AND over the identical
-  * pre-built hypergraph.
+  * runtime of sequential peeling vs parallel AND over the same on-the-fly
+  * incidence, each the median of 3 timed runs.
   *
   * Shape assertions follow the paper: peeling wins k-core (tiny work per
   * vertex, AND pays multi-pass overhead), while AND wins the heavier

@@ -9,6 +9,10 @@ import org.apache.spark.sql.functions._
   * to all three, so every K4 is produced exactly once as (a, b, c, d) with
   * a < b < c < d. The extension joins run against the oriented edge list,
   * mirroring [[Triangles]].
+  *
+  * The program finds K4s with the (3,4) on-the-fly merge
+  * ([[repro.core.NucleusBuilder.nucleus34Hypergraph]]); this DataFrame
+  * version is the DuckDB-checked reference the tests compare it against.
   */
 object FourCliques {
 
@@ -23,11 +27,4 @@ object FourCliques {
       .join(bd, Seq("b", "d"), "left_semi")
       .select(col("a"), col("b"), col("c"), col("d"))
   }
-
-  /** Convenience: enumerate K4s straight from edges. */
-  def enumerate(edges: DataFrame): DataFrame =
-    enumerate(edges, Triangles.enumerate(edges))
-
-  /** Total K4 count. */
-  def count(edges: DataFrame): Long = enumerate(edges).count()
 }

@@ -10,6 +10,10 @@ import org.apache.spark.sql.functions._
   * (a,b),(a,c) closed by the edge (b,c). Feed ids relabelled by degree rank
   * ([[repro.graph.GraphOps.relabelByDegree]]) so hub fan-out stays bounded
   * on skewed graphs.
+  *
+  * The program lists triangles on the driver
+  * ([[repro.core.NucleusBuilder.triangles]]); this DataFrame version is the
+  * DuckDB-checked reference the tests compare that listing against.
   */
 object Triangles {
 
@@ -22,7 +26,4 @@ object Triangles {
     val closing = edges.select(col("u").as("b"), col("v").as("c"))
     wedges.join(closing, Seq("b", "c")).select(col("a"), col("b"), col("c"))
   }
-
-  /** Total triangle count. */
-  def count(edges: DataFrame): Long = enumerate(edges).count()
 }

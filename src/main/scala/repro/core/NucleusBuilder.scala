@@ -1,13 +1,14 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import repro.cliques.{FourCliques, Triangles}
 import repro.graph.{GraphOps, LocalGraph}
 
-/** Bridges the distributed substrate (Spark clique enumeration) and the
-  * shared-memory decomposition engines: enumerates edges/triangles/K4s with
-  * Spark, collects them, and assembles the generic [[Hypergraph]] for each
-  * of the three (r,s) instances the paper evaluates.
+/** Bridges the distributed substrate and the shared-memory decomposition
+  * engines: Spark canonicalizes and degree-relabels the edges, the driver
+  * collects them into a [[LocalGraph]], and every clique is then listed by
+  * the gather an engine already runs (the paper's §5: s-cliques are found
+  * inside the engine). Assembles the generic [[Hypergraph]] for each of the
+  * three (r,s) instances the paper evaluates.
   */
 object NucleusBuilder {
 
@@ -16,53 +17,60 @@ object NucleusBuilder {
     */
   def flatSize(count: Int, stride: Int): Int = Math.multiplyExact(count, stride)
 
+  /** Number of s-cliques whose members have the S-degrees ``degrees``:
+    * each s-clique is counted once per member, ``arity`` times in all.
+    * Throws ``ArithmeticException`` past Int.MaxValue.
+    */
+  def sCliqueCount(degrees: Array[Int], arity: Int): Int =
+    Math.toIntExact(degrees.foldLeft(0L)(_ + _) / arity)
+
   /** Collected clique structure of one graph.
     *
-    * ``tri`` is stride-3 flattened (a,b,c) with a < b < c; ``quad`` is
-    * stride-4 flattened (a,b,c,d) with a < b < c < d. Vertex ids are the
-    * degree-rank relabelled ids of the input graph.
+    * ``tri`` is stride-3 flattened (a,b,c) with a < b < c, in any order.
+    * Vertex ids are the degree-rank relabelled ids of the input graph.
+    * ``quad`` is neither filled nor read here; it is kept for callers that
+    * build a ``Materialized`` from their own K4 list.
     */
-  final case class Materialized(graph: LocalGraph, tri: Array[Int], quad: Array[Int]) {
+  final case class Materialized(graph: LocalGraph, tri: Array[Int], quad: Array[Int] = Array.emptyIntArray) {
     def numTriangles: Int = tri.length / 3
-    def numQuads: Int = quad.length / 4
+
+    /** Number of K4s, counted by the (3,4) on-the-fly merge. */
+    lazy val numQuads: Int = sCliqueCount(new Nucleus34OnTheFly(graph, tri).degreeCounts(1), 4)
   }
 
-  /** Enumerate and collect everything up to s-cliques of size ``maxS``
-    * (2 = edges only, 3 = + triangles, 4 = + four-cliques). The input edge
-    * DataFrame is canonicalized and degree-rank relabelled here.
+  /** Canonicalize and degree-rank relabel the input edge DataFrame in
+    * Spark, collect it, and list the triangles if ``maxS`` ≥ 3 (2 = edges
+    * only). K4s are never listed here: the (3,4) builds find them.
     */
   def materialize(edges: DataFrame, maxS: Int = 4): Materialized = {
-    val relabeled = GraphOps.relabelByDegree(GraphOps.canonicalize(edges)).cache()
-    try {
-      val g = LocalGraph.fromEdges(relabeled)
-      if (maxS <= 2) return Materialized(g, Array.emptyIntArray, Array.emptyIntArray)
-      val triDf = Triangles.enumerate(relabeled).cache()
-      try {
-        val triRows = triDf.collect()
-        val tri = new Array[Int](flatSize(triRows.length, 3))
-        var i = 0
-        while (i < triRows.length) {
-          val r = triRows(i)
-          tri(3 * i) = r.getLong(0).toInt
-          tri(3 * i + 1) = r.getLong(1).toInt
-          tri(3 * i + 2) = r.getLong(2).toInt
-          i += 1
-        }
-        if (maxS <= 3) return Materialized(g, tri, Array.emptyIntArray)
-        val quadRows = FourCliques.enumerate(relabeled, triDf).collect()
-        val quad = new Array[Int](flatSize(quadRows.length, 4))
-        i = 0
-        while (i < quadRows.length) {
-          val r = quadRows(i)
-          quad(4 * i) = r.getLong(0).toInt
-          quad(4 * i + 1) = r.getLong(1).toInt
-          quad(4 * i + 2) = r.getLong(2).toInt
-          quad(4 * i + 3) = r.getLong(3).toInt
-          i += 1
-        }
-        Materialized(g, tri, quad)
-      } finally triDf.unpersist()
-    } finally relabeled.unpersist()
+    val g = LocalGraph.fromEdges(GraphOps.relabelByDegree(GraphOps.canonicalize(edges)))
+    Materialized(g, if (maxS <= 2) Array.emptyIntArray else triangles(g))
+  }
+
+  /** The triangles of ``g`` as a stride-3 list (a, b, c), a < b < c, in
+    * ascending order: [[TrussOnTheFly.gather]] over every edge, each
+    * triangle kept once, at its lowest edge (a, b).
+    */
+  def triangles(g: LocalGraph): Array[Int] = {
+    val inc = new TrussOnTheFly(g)
+    val tri = new Array[Int](flatSize(sCliqueCount(inc.degreeCounts(1), 3), 3))
+    val buf = new Array[Int](2 * g.maxDegree)
+    var p = 0
+    var e = 0
+    while (e < g.m) {
+      val (a, b) = g.edges(e)
+      val n = inc.gather(e, buf)
+      var k = 0
+      while (k < n) {
+        // buf(2k) joins a or b to the third vertex.
+        val (x, y) = g.edges(buf(2 * k))
+        val c = if (x == a || x == b) y else x
+        if (c > b) { tri(p) = a; tri(p + 1) = b; tri(p + 2) = c; p += 3 }
+        k += 1
+      }
+      e += 1
+    }
+    tri
   }
 
   /** (1,2): r-cliques are vertices, s-cliques are edges. */
@@ -84,27 +92,26 @@ object NucleusBuilder {
   def trussHypergraph(m: Materialized): Hypergraph =
     new Hypergraph(m.graph.m, 3, TriangleIndex.edgeIds(m.graph, m.tri))
 
-  /** (3,4): r-cliques are triangles, s-cliques are four-cliques. Each K4's
-    * faces come from the [[TriangleIndex]]: one edge-id probe for ab, then
-    * binary searches of the triangle lists of ab, ac and bc, the last two
-    * edges read from the found triangle abc.
+  /** (3,4): r-cliques are triangles, s-cliques are four-cliques: the
+    * on-the-fly (3,4) incidence written down. [[Nucleus34OnTheFly.gather]]
+    * over every triangle, each K4 kept once, at its least face id.
     */
   def nucleus34Hypergraph(m: Materialized): Hypergraph = {
-    val g = m.graph
-    val ix = TriangleIndex(g, m.tri)
-    val nQ = m.numQuads
-    val flat = new Array[Int](flatSize(nQ, 4))
-    var q = 0
-    while (q < nQ) {
-      val a = m.quad(4 * q); val b = m.quad(4 * q + 1)
-      val c = m.quad(4 * q + 2); val d = m.quad(4 * q + 3)
-      val eab = g.edgeId(a, b)
-      val abc = ix.find(eab, c)
-      flat(4 * q) = abc
-      flat(4 * q + 1) = ix.find(eab, d)
-      flat(4 * q + 2) = ix.find(ix.triEdges(3 * abc + 1), d)
-      flat(4 * q + 3) = ix.find(ix.triEdges(3 * abc + 2), d)
-      q += 1
+    val inc = new Nucleus34OnTheFly(m.graph, m.tri)
+    val deg = inc.degreeCounts(1)
+    val flat = new Array[Int](flatSize(sCliqueCount(deg, 4), 4))
+    val buf = new Array[Int](Math.multiplyExact(deg.foldLeft(0)(math.max), 3))
+    var p = 0
+    var t = 0
+    while (t < inc.numR) {
+      val end = 3 * inc.gather(t, buf)
+      var k = 0
+      while (k < end) {
+        val f1 = buf(k); val f2 = buf(k + 1); val f3 = buf(k + 2)
+        if (t < f1 && t < f2 && t < f3) { flat(p) = t; flat(p + 1) = f1; flat(p + 2) = f2; flat(p + 3) = f3; p += 4 }
+        k += 3
+      }
+      t += 1
     }
     new Hypergraph(m.numTriangles, 4, flat)
   }

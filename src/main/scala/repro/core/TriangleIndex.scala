@@ -5,10 +5,10 @@ import repro.graph.LocalGraph
 /** Triangles of a stride-3 triangle list (a < b < c, id = offset / 3),
   * indexed per edge: a CSR over ``g``'s edge ids that lists, for each edge,
   * the third vertices of its triangles in ascending order with their
-  * triangle ids, plus each triangle's three edge ids (ab, ac, bc). The (3,4)
-  * hypergraph build and the on-the-fly (3,4) engine both resolve K4 faces
-  * through it; it stores triangles only, never K4s. Build it with
-  * [[TriangleIndex.apply]].
+  * triangle ids, plus each triangle's three edge ids (ab, ac, bc). The
+  * on-the-fly (3,4) engine, and through it the (3,4) hypergraph build,
+  * finds K4s by merging these lists; it stores triangles only, never K4s.
+  * Build it with [[TriangleIndex.apply]].
   *
   * @param triEdges edge ids of triangle t at 3t, 3t+1, 3t+2: (ab, ac, bc)
   * @param off      edge e's triangles sit at [off(e), off(e+1))
@@ -23,12 +23,6 @@ final class TriangleIndex private (
 ) {
   /** Most triangles on any one edge; bounds every triangle's K4 count. */
   lazy val maxPerEdge: Int = (0 until off.length - 1).foldLeft(0)((mx, e) => math.max(mx, off(e + 1) - off(e)))
-
-  /** Id of the triangle on edge ``e`` whose third vertex is ``w``, else -1. */
-  def find(e: Int, w: Int): Int = {
-    val p = java.util.Arrays.binarySearch(third, off(e), off(e + 1), w)
-    if (p >= 0) ids(p) else -1
-  }
 }
 
 object TriangleIndex {

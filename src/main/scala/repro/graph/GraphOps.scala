@@ -25,12 +25,8 @@ object GraphOps {
       .distinct()
   }
 
-  /** Distinct vertices (column ``id``) appearing in at least one edge. */
-  def vertices(edges: DataFrame): DataFrame =
-    edges.select(col("u").as("id")).union(edges.select(col("v").as("id"))).distinct()
-
   /** Per-vertex degree (columns ``id``, ``deg``); only vertices with
-    * degree >= 1 appear, consistent with [[vertices]].
+    * degree >= 1 appear.
     */
   def degrees(edges: DataFrame): DataFrame =
     edges.select(col("u").as("id")).union(edges.select(col("v").as("id")))
@@ -57,8 +53,4 @@ object GraphOps {
     edges.select(remap(col("u")).as("a"), remap(col("v")).as("b"))
       .select(least(col("a"), col("b")).as("u"), greatest(col("a"), col("b")).as("v"))
   }
-
-  /** (|V|, |E|) of a canonical edge DataFrame. */
-  def sizes(edges: DataFrame): (Long, Long) =
-    (vertices(edges).count(), edges.count())
 }

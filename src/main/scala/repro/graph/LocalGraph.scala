@@ -4,10 +4,11 @@ import org.apache.spark.sql.DataFrame
 
 /** Compact driver-side adjacency for the shared-memory decomposition
   * engines (the paper's algorithms are shared-memory OpenMP; the Spark
-  * layer supplies the enumeration, this structure supplies the arrays).
+  * layer supplies the canonical edges, this structure supplies the arrays).
   *
-  * Vertices are 0..n-1; ``edges(e) = (u, v)`` with ``u < v``; ``adj`` is a
-  * CSR over undirected neighbours; ``incEdges`` is the parallel CSR holding
+  * Vertices are 0..n-1; ``edges(e) = (u, v)`` with ``u < v``; ``adjOff`` /
+  * ``adjVtx`` is a CSR over undirected neighbours, ascending per vertex;
+  * ``adjEid`` is the parallel CSR holding
   * the edge id of each adjacency slot, so edge-centric algorithms (k-truss)
   * can map a neighbour back to its edge. [[edgeId]] goes through one hashed
   * edge index, shared by the hypergraph builds, the triangle index and the
@@ -27,12 +28,6 @@ final class LocalGraph(
 
   /** Largest vertex degree (0 for an empty graph). */
   lazy val maxDegree: Int = (0 until n).foldLeft(0)((d, v) => math.max(d, degree(v)))
-
-  /** Iterate neighbours of ``v`` with their incident edge ids. */
-  @inline def foreachNeighbor(v: Int)(f: (Int, Int) => Unit): Unit = {
-    var i = adjOff(v)
-    while (i < adjOff(v + 1)) { f(adjVtx(i), adjEid(i)); i += 1 }
-  }
 
   /** Edge ids keyed by u·n + v (u < v); built on first use and shared by
     * every engine over this graph.

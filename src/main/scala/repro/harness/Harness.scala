@@ -6,7 +6,7 @@ import repro.synth.Proxies
 
 /** Shared pieces for the per-table harnesses: the three evaluated
   * decompositions, a per-JVM materialization cache (so Table 3/4/5 benches
-  * enumerate each proxy's cliques once), and a best-of-N timer.
+  * materialize each proxy once), and a median-of-N timer.
   */
 object Harness {
 
@@ -32,17 +32,15 @@ object Harness {
     hgCache.getOrElseUpdate((spec.name, d.label),
       NucleusBuilder.hypergraph(materialized(spark, spec), d.r, d.s))
 
-  /** Wall-clock milliseconds of ``f``, best of ``reps`` runs. */
+  /** Wall-clock milliseconds of ``f``, the median of ``reps`` ≥ 1 runs. */
   def timeMs(reps: Int)(f: => Unit): Double = {
-    var best = Double.MaxValue
-    var i = 0
-    while (i < reps) {
+    require(reps >= 1, s"reps = $reps")
+    val ms = Array.fill(reps) {
       val t0 = System.nanoTime()
       f
-      best = math.min(best, (System.nanoTime() - t0) / 1e6)
-      i += 1
-    }
-    best
+      (System.nanoTime() - t0) / 1e6
+    }.sorted
+    (ms((reps - 1) / 2) + ms(reps / 2)) / 2
   }
 
   /** Render aligned columns for the bench logs. */

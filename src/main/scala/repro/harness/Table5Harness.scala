@@ -13,7 +13,8 @@ import repro.synth.Proxies
   * inherently sequential while AND's passes use all threads. For k-core the
   * graph itself is the structure, so the materialized engines apply.
   * Table 1 of the paper is the (3,4) subset {TW, WND, WIKI} of these rows.
-  * Every row checks κ(AND) = κ(peeling) before it records a time.
+  * Every row checks κ(AND) = κ(peeling) before it records a time; each
+  * time is the median of ``reps`` runs.
   */
 object Table5Harness {
 

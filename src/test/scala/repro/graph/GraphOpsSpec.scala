@@ -18,11 +18,6 @@ class GraphOpsSpec extends SparkSpec {
     assert(g.collect().map(r => (r.getLong(0), r.getLong(1))).toSeq == Seq((1L, 2L)))
   }
 
-  test("vertices returns every endpoint once") {
-    val vs = GraphOps.vertices(df((1L, 2L), (2L, 3L))).collect().map(_.getLong(0)).sorted
-    assert(vs.toSeq == Seq(1L, 2L, 3L))
-  }
-
   test("degrees match DuckDB oracle") {
     val edges = GraphOps.canonicalize(repro.synth.GraphGen.erdosRenyi(spark, 50, 120, seed = 1))
     val degs = GraphOps.degrees(edges)
@@ -38,10 +33,7 @@ class GraphOpsSpec extends SparkSpec {
   test("relabelByDegree preserves graph size and degree multiset") {
     val edges = GraphOps.canonicalize(repro.synth.GraphGen.erdosRenyi(spark, 60, 150, seed = 2))
     val rel = GraphOps.relabelByDegree(edges)
-    val (v0, e0) = GraphOps.sizes(edges)
-    val (v1, e1) = GraphOps.sizes(rel)
-    assert(e0 == e1)
-    assert(v0 == v1)
+    assert(rel.count() == edges.count())
     val d0 = GraphOps.degrees(edges).select("deg").as[Long].collect().sorted.toSeq
     val d1 = GraphOps.degrees(rel).select("deg").as[Long].collect().sorted.toSeq
     assert(d0 == d1)
@@ -58,11 +50,7 @@ class GraphOpsSpec extends SparkSpec {
   test("relabelByDegree produces dense ids 0..n-1") {
     val edges = GraphOps.canonicalize(df((100L, 200L), (200L, 300L), (5L, 100L)))
     val rel = GraphOps.relabelByDegree(edges)
-    val ids = GraphOps.vertices(rel).collect().map(_.getLong(0)).sorted.toSeq
+    val ids = GraphOps.degrees(rel).collect().map(_.getLong(0)).sorted.toSeq
     assert(ids == (0L until ids.length).toSeq)
-  }
-
-  test("sizes of a triangle") {
-    assert(GraphOps.sizes(df((0L, 1L), (1L, 2L), (0L, 2L))) == (3L, 3L))
   }
 }

@@ -38,24 +38,19 @@ class LocalGraphSpec extends SparkSpec {
     }
   }
 
-  test("foreachNeighbor enumerates exactly the adjacency") {
-    val pairs = TestGraphs.randomGraph(15, 0.4, 3)
-    val g = LocalGraph.fromPairs(pairs)
-    for (v <- 0 until g.n) {
-      val got = scala.collection.mutable.Set.empty[Int]
-      g.foreachNeighbor(v)((w, _) => got += w)
-      val expected = pairs.collect { case (a, b) if a == v => b; case (a, b) if b == v => a }.toSet
-      assert(got == expected, s"vertex $v")
-    }
-  }
-
   test("edge ids are consistent between edges array and adjacency") {
-    val pairs = TestGraphs.randomGraph(15, 0.4, 9)
-    val g = LocalGraph.fromPairs(pairs)
-    for (v <- 0 until g.n) {
-      g.foreachNeighbor(v) { (w, e) =>
-        val (a, b) = g.edges(e)
-        assert(Set(a, b) == Set(v, w), s"slot ($v,$w) claims edge $e=($a,$b)")
+    for (seed <- Seq(3, 9)) {
+      val pairs = TestGraphs.randomGraph(15, 0.4, seed)
+      val g = LocalGraph.fromPairs(pairs)
+      for (v <- 0 until g.n) {
+        val slots = g.adjOff(v) until g.adjOff(v + 1)
+        val expected = pairs.collect { case (a, b) if a == v => b; case (a, b) if b == v => a }.sorted.toSeq
+        assert(slots.map(g.adjVtx) == expected, s"seed=$seed vertex $v: neighbours, ascending")
+        for (i <- slots) {
+          val (w, e) = (g.adjVtx(i), g.adjEid(i))
+          val (a, b) = g.edges(e)
+          assert(Set(a, b) == Set(v, w), s"slot ($v,$w) claims edge $e=($a,$b)")
+        }
       }
     }
   }

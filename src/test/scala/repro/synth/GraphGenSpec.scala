@@ -54,7 +54,7 @@ class GraphGenSpec extends SparkSpec {
     val planted = GraphGen.withPlantedCliques(spark, base, 200, count = 2, size = 8, seed = 6)
     assert(planted.count() >= base.count())
     // A planted clique of size 8 guarantees at least C(8,3) triangles.
-    assert(repro.cliques.Triangles.count(planted) >= 56)
+    assert(repro.cliques.Triangles.enumerate(planted).count() >= 56)
   }
 
   test("withPlantedCliques is deterministic") {

@@ -62,16 +62,32 @@ object TestGraphs {
     es.toArray.sorted
   }
 
-  /** Build the Materialized structure locally (mirrors what the Spark path
-    * collects) so [[NucleusBuilder]]'s hypergraph assembly is exercised
-    * without a SparkSession. Vertex ids are used as-is (no degree
-    * relabelling) — the decomposition is label-invariant.
+  /** Build the Materialized structure locally, with the brute-force
+    * triangle list, so [[NucleusBuilder]]'s hypergraph assembly is exercised
+    * without a SparkSession and apart from its own triangle listing. Vertex
+    * ids are used as-is (no degree relabelling) — the decomposition is
+    * label-invariant.
     */
-  def materialize(pairs: Array[(Int, Int)]): NucleusBuilder.Materialized = {
-    val g = LocalGraph.fromPairs(pairs)
-    val tri = triangles(pairs).flatMap(t => Array(t._1, t._2, t._3))
-    val quad = fourCliques(pairs).flatMap(q => Array(q._1, q._2, q._3, q._4))
-    NucleusBuilder.Materialized(g, tri, quad)
+  def materialize(pairs: Array[(Int, Int)]): NucleusBuilder.Materialized =
+    NucleusBuilder.Materialized(LocalGraph.fromPairs(pairs), triangles(pairs).flatMap(t => Array(t._1, t._2, t._3)))
+
+  /** The (3,4) hypergraph of ``m`` from the brute-force K4 list: each K4's
+    * faces (abc, abd, acd, bcd) looked up by vertex triple in ``m.tri``,
+    * whatever its order. Shares no code with the on-the-fly merge.
+    */
+  def nucleus34ByBruteForce(m: NucleusBuilder.Materialized): Hypergraph = {
+    val id = (0 until m.numTriangles).map(t => m.tri.slice(3 * t, 3 * t + 3).toSeq -> t).toMap
+    Hypergraph.fromSeqs(m.numTriangles, 4, fourCliques(m.graph.edges).toSeq.map { case (a, b, c, d) =>
+      Seq(Seq(a, b, c), Seq(a, b, d), Seq(a, c, d), Seq(b, c, d)).map(id)
+    })
+  }
+
+  /** ``m`` with its triangles in a seeded random order, as another lister
+    * may return them.
+    */
+  def shuffled(m: NucleusBuilder.Materialized, seed: Long): NucleusBuilder.Materialized = {
+    val order = new scala.util.Random(seed).shuffle((0 until m.numTriangles).toVector)
+    m.copy(tri = order.flatMap(t => m.tri.slice(3 * t, 3 * t + 3)).toArray)
   }
 
   /** Hypergraph for (r, s) from raw pairs, all locally. */
