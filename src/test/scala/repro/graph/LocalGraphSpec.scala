@@ -38,19 +38,26 @@ class LocalGraphSpec extends SparkSpec {
     }
   }
 
-  test("edge ids are consistent between edges array and adjacency") {
+  test("foreachNeighbor enumerates exactly the adjacency") {
     for (seed <- Seq(3, 9)) {
       val pairs = TestGraphs.randomGraph(15, 0.4, seed)
       val g = LocalGraph.fromPairs(pairs)
       for (v <- 0 until g.n) {
-        val slots = g.adjOff(v) until g.adjOff(v + 1)
+        val got = (g.adjOff(v) until g.adjOff(v + 1)).map(g.adjVtx)
         val expected = pairs.collect { case (a, b) if a == v => b; case (a, b) if b == v => a }.sorted.toSeq
-        assert(slots.map(g.adjVtx) == expected, s"seed=$seed vertex $v: neighbours, ascending")
-        for (i <- slots) {
-          val (w, e) = (g.adjVtx(i), g.adjEid(i))
-          val (a, b) = g.edges(e)
-          assert(Set(a, b) == Set(v, w), s"slot ($v,$w) claims edge $e=($a,$b)")
-        }
+        assert(got == expected, s"seed=$seed vertex $v: neighbours, ascending")
+      }
+    }
+  }
+
+  test("edge ids are consistent between edges array and adjacency") {
+    for (seed <- Seq(3, 9)) {
+      val pairs = TestGraphs.randomGraph(15, 0.4, seed)
+      val g = LocalGraph.fromPairs(pairs)
+      for (v <- 0 until g.n; i <- g.adjOff(v) until g.adjOff(v + 1)) {
+        val (w, e) = (g.adjVtx(i), g.adjEid(i))
+        val (a, b) = g.edges(e)
+        assert(Set(a, b) == Set(v, w), s"slot ($v,$w) claims edge $e=($a,$b)")
       }
     }
   }
