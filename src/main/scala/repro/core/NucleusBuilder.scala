@@ -4,11 +4,12 @@ import org.apache.spark.sql.DataFrame
 import repro.graph.{GraphOps, LocalGraph}
 
 /** Bridges the distributed substrate and the shared-memory decomposition
-  * engines: Spark canonicalizes and degree-relabels the edges, the driver
-  * collects them into a [[LocalGraph]], and every clique is then listed by
-  * the gather an engine already runs (the paper's §5: s-cliques are found
-  * inside the engine). Assembles the generic [[Hypergraph]] for each of the
-  * three (r,s) instances the paper evaluates.
+  * engines: Spark canonicalizes the edges, the driver collects them once
+  * into a [[LocalGraph]] numbered by (degree, id) rank, and every clique is
+  * then listed by the gather an engine already runs (the paper's §5:
+  * s-cliques are found inside the engine). Assembles the generic
+  * [[Hypergraph]] for each of the three (r,s) instances the paper
+  * evaluates.
   */
 object NucleusBuilder {
 
@@ -38,12 +39,13 @@ object NucleusBuilder {
     lazy val numQuads: Int = sCliqueCount(new Nucleus34OnTheFly(graph, tri).degreeCounts(1), 4)
   }
 
-  /** Canonicalize and degree-rank relabel the input edge DataFrame in
-    * Spark, collect it, and list the triangles if ``maxS`` ≥ 3 (2 = edges
-    * only). K4s are never listed here: the (3,4) builds find them.
+  /** Canonicalize the input edge DataFrame in Spark, collect it into a
+    * [[LocalGraph]] (which numbers the vertices by (degree, id) rank), and
+    * list the triangles if ``maxS`` ≥ 3 (2 = edges only). K4s are never
+    * listed here: the (3,4) builds find them.
     */
   def materialize(edges: DataFrame, maxS: Int = 4): Materialized = {
-    val g = LocalGraph.fromEdges(GraphOps.relabelByDegree(GraphOps.canonicalize(edges)))
+    val g = LocalGraph.fromEdges(GraphOps.canonicalize(edges))
     Materialized(g, if (maxS <= 2) Array.emptyIntArray else triangles(g))
   }
 

@@ -1,6 +1,6 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** DataFrame operations over undirected simple graphs.
@@ -25,32 +25,15 @@ object GraphOps {
       .distinct()
   }
 
-  /** Per-vertex degree (columns ``id``, ``deg``); only vertices with
-    * degree >= 1 appear.
-    */
-  def degrees(edges: DataFrame): DataFrame =
-    edges.select(col("u").as("id")).union(edges.select(col("v").as("id")))
-      .groupBy("id").agg(count(lit(1)).cast("long").as("deg"))
-
   /** Relabel the vertices of a canonical edge DataFrame as 0..n-1 in
     * non-decreasing (degree, id) order and return it, still canonical, in
-    * the new id space. With this labelling the orientation ``u < v`` is the
-    * standard degree-ordered orientation, which bounds the out-degree of
-    * every vertex by the graph degeneracy-ish O(sqrt(m)) and keeps
-    * triangle/K4 join fan-out small on skewed graphs.
+    * the new id space: the edges of [[LocalGraph.fromEdges]], which holds
+    * the one ranking, as a DataFrame (the edges are collected and ranked on
+    * the driver). Relabelling the result again changes no id.
     */
   def relabelByDegree(edges: DataFrame): DataFrame = {
     val spark = edges.sparkSession
-    // n is at most a few 10k in this reproduction: build the rank map on the
-    // driver (deterministic), then broadcast-map both endpoints.
-    val degs = degrees(edges).collect().map(r => (r.getLong(0), r.getLong(1)))
-    val rank = degs.sortBy { case (id, d) => (d, id) }.iterator.zipWithIndex
-      .map { case ((id, _), i) => (id, i.toLong) }.toMap
-    val rankB = spark.sparkContext.broadcast(rank)
-    val remap = udf((id: Long) => rankB.value(id))
-    // The relabel is a bijection, so canonical input stays loop- and
-    // duplicate-free: reordering each edge's endpoints is all it needs.
-    edges.select(remap(col("u")).as("a"), remap(col("v")).as("b"))
-      .select(least(col("a"), col("b")).as("u"), greatest(col("a"), col("b")).as("v"))
+    import spark.implicits._
+    LocalGraph.fromEdges(edges).edges.toSeq.map { case (u, v) => (u.toLong, v.toLong) }.toDF("u", "v")
   }
 }

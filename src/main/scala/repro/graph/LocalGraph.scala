@@ -46,18 +46,54 @@ final class LocalGraph(
 
 object LocalGraph {
 
-  /** Build from a canonical edge DataFrame (columns ``u``, ``v``; u < v).
-    * Vertex ids must already be dense 0..n-1 (use
-    * [[GraphOps.relabelByDegree]] first); an id past the Int range throws
-    * ``ArithmeticException``. Edge ids are assigned in sorted (u, v) order
-    * so they are deterministic for a given graph.
+  /** Build from a canonical edge DataFrame (columns ``u``, ``v``; u < v, no
+    * duplicates), collected once. Ids may be any Long: the vertices are
+    * numbered 0..n-1 in non-decreasing (degree, id) order, so every edge
+    * points from its lower- to its higher-degree endpoint (the orientation
+    * that keeps each vertex's higher neighbours few on skewed graphs), and a
+    * graph already numbered this way keeps its ids. Edge ids are assigned in
+    * sorted (u, v) order of the new ids, so they are deterministic for a
+    * given graph.
     */
   def fromEdges(edges: DataFrame): LocalGraph = {
-    val pairs = edges.collect().map(r => (Math.toIntExact(r.getLong(0)), Math.toIntExact(r.getLong(1))))
-    fromPairs(pairs)
+    val rows = edges.collect()
+    fromPairs(rankByDegree(rows.map(_.getLong(0)), rows.map(_.getLong(1))))
   }
 
-  /** Build from canonical (u < v) edge pairs with dense vertex ids. */
+  /** The edges ``(us(e), vs(e))``, u < v, with their endpoints numbered
+    * 0..n-1 in non-decreasing (degree, id) order, each as (lower, higher).
+    * One sort of all endpoints gives the distinct ids and their degrees, a
+    * stable counting sort by degree ranks them, and a binary search finds
+    * each endpoint's rank.
+    */
+  private def rankByDegree(us: Array[Long], vs: Array[Long]): Array[(Int, Int)] = {
+    val ends = us ++ vs
+    java.util.Arrays.sort(ends)
+    // Distinct ids ascending, each with its degree (the length of its run).
+    val ids = new Array[Long](ends.length)
+    val deg = new Array[Int](ends.length)
+    var n = 0
+    for (x <- ends) {
+      if (n == 0 || ids(n - 1) != x) { ids(n) = x; n += 1 }
+      deg(n - 1) += 1
+    }
+    // Stable counting sort by degree over ascending ids: ties keep id order.
+    val next = new Array[Int](deg.foldLeft(0)(math.max) + 2)
+    for (i <- 0 until n) next(deg(i) + 1) += 1
+    for (d <- 1 until next.length) next(d) += next(d - 1)
+    val rank = new Array[Int](n)
+    for (i <- 0 until n) { rank(i) = next(deg(i)); next(deg(i)) += 1 }
+    def rankOf(id: Long): Int = rank(java.util.Arrays.binarySearch(ids, 0, n, id))
+    Array.tabulate(us.length) { e =>
+      require(us(e) < vs(e), s"edge not canonical: (${us(e)},${vs(e)})")
+      val (a, b) = (rankOf(us(e)), rankOf(vs(e)))
+      if (a < b) (a, b) else (b, a)
+    }
+  }
+
+  /** Build from canonical (u < v), distinct edge pairs with dense vertex
+    * ids; a repeated edge throws ``IllegalArgumentException``.
+    */
   def fromPairs(pairs: Array[(Int, Int)]): LocalGraph = {
     val es = pairs.sorted
     val n = if (es.isEmpty) 0 else es.iterator.map(e => math.max(e._1, e._2)).max + 1
@@ -73,6 +109,7 @@ object LocalGraph {
     while (e < es.length) {
       val (u, v) = es(e)
       require(u < v, s"edge not canonical: ($u,$v)")
+      require(e == 0 || es(e - 1) != es(e), s"repeated edge: ($u,$v)")
       vtx(cur(u)) = v; eid(cur(u)) = e; cur(u) += 1
       vtx(cur(v)) = u; eid(cur(v)) = e; cur(v) += 1
       e += 1

@@ -1,6 +1,8 @@
 package repro.graph
 
-import repro.SparkSpec
+import repro.{Oracle, SparkSpec}
+import repro.core.NucleusBuilder
+import repro.synth.GraphGen
 import repro.testutil.TestGraphs
 
 class LocalGraphSpec extends SparkSpec {
@@ -16,15 +18,48 @@ class LocalGraphSpec extends SparkSpec {
     assert(g.edgeId(0, 1) == 0 && g.edgeId(1, 0) == 0)
   }
 
-  test("fromEdges fails loudly on ids past the Int range") {
+  test("fromEdges ranks ids past the Int range instead of narrowing them") {
     import spark.implicits._
-    // Narrowing would read (1, 2^32 + 2) as the edge (1, 2).
-    intercept[ArithmeticException] { LocalGraph.fromEdges(Seq((1L, (1L << 32) + 2)).toDF("u", "v")) }
-    assert(LocalGraph.fromEdges(Seq((1L, 2L)).toDF("u", "v")).edgeId(1, 2) == 0)
+    // Narrowing would read (1, 2^32 + 2) as a second (1, 2).
+    val g = LocalGraph.fromEdges(Seq((1L, 2L), (1L, (1L << 32) + 2)).toDF("u", "v"))
+    assert(g.n == 3 && g.m == 2)
+    // Ranks: 2 -> 0 and 2^32 + 2 -> 1 (degree 1, by id), 1 -> 2 (degree 2).
+    assert(g.edgeId(0, 2) == 0 && g.edgeId(1, 2) == 1)
+    assert(LocalGraph.fromEdges(Seq((1L, 2L)).toDF("u", "v")).edgeId(0, 1) == 0)
+  }
+
+  test("fromEdges ranks vertices by (degree, id) like a DuckDB ROW_NUMBER relabel") {
+    import spark.implicits._
+    // G(60, 150) with its ids scattered over [-2e9, 4e9], out of order.
+    val edges = GraphOps.canonicalize(GraphGen.erdosRenyi(spark, 60, 150, seed = 11)
+      .select((($"u" * 7919 % 61 - 20) * 100000000L).as("u"), (($"v" * 7919 % 61 - 20) * 100000000L).as("v")))
+    val ids = edges.as[(Long, Long)].collect().flatMap { case (u, v) => Seq(u, v) }
+    assert(ids.max > Int.MaxValue && ids.min < 0)
+    val degs = ids.groupBy(identity).values.map(_.length).toSeq
+    assert(degs.distinct.length < degs.length, "the fixture needs degree ties")
+    val g = LocalGraph.fromEdges(edges)
+    Oracle.assertEquivalent(
+      g.edges.toSeq.map { case (u, v) => (u.toLong, v.toLong) }.toDF("u", "v"),
+      """WITH e AS (SELECT CAST(u AS BIGINT) AS u, CAST(v AS BIGINT) AS v FROM edges),
+        |d AS (SELECT id, COUNT(*) AS deg FROM (SELECT u AS id FROM e UNION ALL SELECT v AS id FROM e) GROUP BY id),
+        |r AS (SELECT id, ROW_NUMBER() OVER (ORDER BY deg, id) - 1 AS rk FROM d)
+        |SELECT LEAST(a.rk, b.rk) AS u, GREATEST(a.rk, b.rk) AS v
+        |FROM e JOIN r a ON e.u = a.id JOIN r b ON e.v = b.id""".stripMargin,
+      "edges" -> edges)
+    assert(NucleusBuilder.materialize(edges, maxS = 2).graph.edges.toSeq == g.edges.toSeq)
   }
 
   test("rejects non-canonical edges") {
+    import spark.implicits._
     intercept[IllegalArgumentException] { LocalGraph.fromPairs(Array((1, 0))) }
+    intercept[IllegalArgumentException] { LocalGraph.fromEdges(Seq((9L, 5L)).toDF("u", "v")) }
+  }
+
+  test("rejects a repeated edge") {
+    import spark.implicits._
+    intercept[IllegalArgumentException] { LocalGraph.fromPairs(Array((0, 1), (0, 1))) }
+    intercept[IllegalArgumentException] { LocalGraph.fromPairs(Array((0, 1), (0, 1), (0, 2), (1, 2))) }
+    intercept[IllegalArgumentException] { LocalGraph.fromEdges(Seq((5L, 9L), (5L, 9L)).toDF("u", "v")) }
   }
 
   test("degrees match brute force on random graphs") {

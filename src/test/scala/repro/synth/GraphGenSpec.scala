@@ -1,7 +1,7 @@
 package repro.synth
 
 import repro.SparkSpec
-import repro.graph.GraphOps
+import repro.graph.GraphOpsSpec.degrees
 
 class GraphGenSpec extends SparkSpec {
 
@@ -26,7 +26,7 @@ class GraphGenSpec extends SparkSpec {
 
   test("chungLu produces a skewed degree distribution") {
     val g = GraphGen.chungLu(spark, 2000, 10000, 0.55, seed = 3)
-    val degs = GraphOps.degrees(g).collect().map(_.getLong(1)).sorted.reverse
+    val degs = degrees(g).collect().map(_.getLong(1)).sorted.reverse
     // Top vertex should dominate the median by a wide margin in a power law.
     assert(degs.head >= 10 * degs(degs.length / 2),
            s"max=${degs.head} median=${degs(degs.length / 2)}")
