@@ -29,20 +29,20 @@ object And {
     * @param threads     workers for the d_s count and each pass
     *                    (1 = deterministic)
     * @param notify      enable the notification mechanism (orange lines)
-    * @param order       processing order over r-cliques (default natural);
-    *                    ignored meaningfully only for threads = 1
-    * @param onIteration optional observer: (pass number, τ snapshot); τ₀ is
-    *                    delivered as pass 0; verification passes are not
-    *                    delivered
+    * @param order       processing order, a permutation of 0..numR-1
+    *                    (default natural); matters only for threads = 1
+    * @param onIteration optional observer: (pass number, τ) at each pass
+    *                    barrier, τ₀ as pass 0, verification passes not
+    *                    delivered; τ is read-only and valid until the next pass
     */
   def decompose(inc: Incidence, threads: Int = 1, notify: Boolean = true,
                 order: Array[Int] = null,
                 onIteration: (Int, Array[Int]) => Unit = null): IterResult = {
     val n = inc.numR
-    val tau = inc.degreeCounts(threads)
-    if (onIteration != null) onIteration(0, tau.clone())
+    require(order == null || isPermutation(order, n), "order must be a permutation of 0..numR-1")
     val ord = if (order != null) order else Array.tabulate(n)(identity)
-    require(ord.length == n, "order must be a permutation of 0..numR-1")
+    val tau = inc.degreeCounts(threads)
+    if (onIteration != null) onIteration(0, tau)
     val maxDeg = if (n == 0) 0 else tau.max
     val c: Array[Boolean] = if (notify) Array.fill(n)(true) else null
     val changed = new java.util.concurrent.atomic.AtomicBoolean(false)
@@ -96,7 +96,7 @@ object And {
     while (go) {
       active :+= pass()
       if (changed.get()) iterations += 1 else go = false
-      if (onIteration != null) onIteration(active.length, tau.clone())
+      if (onIteration != null) onIteration(active.length, tau)
       if (!go && c != null) {
         java.util.Arrays.fill(c, true)
         verifyPasses += 1
@@ -105,5 +105,11 @@ object And {
       }
     }
     IterResult(tau, iterations, active, verifyPasses, verifyComputations)
+  }
+
+  /** Whether ``order`` holds each of 0..n-1 exactly once. */
+  private def isPermutation(order: Array[Int], n: Int): Boolean = order.length == n && {
+    val seen = new Array[Boolean](n)
+    order.forall(r => r >= 0 && r < n && !seen(r) && { seen(r) = true; true })
   }
 }

@@ -13,6 +13,9 @@ import repro.graph.{GraphOps, LocalGraph}
   */
 object NucleusBuilder {
 
+  /** Workers of the listings' d_s counts and of ``numQuads``. */
+  private val threads = Runtime.getRuntime.availableProcessors()
+
   /** Length of a flat array of ``count`` rows of ``stride`` ids; throws
     * ``ArithmeticException`` where it would overflow an Int.
     */
@@ -36,7 +39,7 @@ object NucleusBuilder {
     def numTriangles: Int = tri.length / 3
 
     /** Number of K4s, counted by the (3,4) on-the-fly merge. */
-    lazy val numQuads: Int = sCliqueCount(new Nucleus34OnTheFly(graph, tri).degreeCounts(1), 4)
+    lazy val numQuads: Int = sCliqueCount(new Nucleus34OnTheFly(graph, tri).degreeCounts(threads), 4)
   }
 
   /** Canonicalize the input edge DataFrame in Spark, collect it into a
@@ -50,29 +53,65 @@ object NucleusBuilder {
   }
 
   /** The triangles of ``g`` as a stride-3 list (a, b, c), a < b < c, in
-    * ascending order: [[TrussOnTheFly.gather]] over every edge, each
-    * triangle kept once, at its lowest edge (a, b).
+    * ascending order: the [[TrussOnTheFly]] incidence written down by
+    * [[sCliques]], rewritten from edge ids to vertices. Edge ids follow
+    * sorted (u, v), so a triangle's least edge is (a, b).
     */
   def triangles(g: LocalGraph): Array[Int] = {
-    val inc = new TrussOnTheFly(g)
-    val tri = new Array[Int](flatSize(sCliqueCount(inc.degreeCounts(1), 3), 3))
-    val buf = new Array[Int](2 * g.maxDegree)
-    var p = 0
-    var e = 0
-    while (e < g.m) {
-      val (a, b) = g.edges(e)
-      val n = inc.gather(e, buf)
-      var k = 0
-      while (k < n) {
-        // buf(2k) joins a or b to the third vertex.
-        val (x, y) = g.edges(buf(2 * k))
-        val c = if (x == a || x == b) y else x
-        if (c > b) { tri(p) = a; tri(p + 1) = b; tri(p + 2) = c; p += 3 }
-        k += 1
-      }
-      e += 1
+    val tri = sCliques(new TrussOnTheFly(g))
+    var j = 0
+    while (j < tri.length) {
+      val (a, b) = g.edges(tri(j))
+      // tri(j + 1) joins a or b to the third vertex.
+      val (x, y) = g.edges(tri(j + 1))
+      tri(j) = a; tri(j + 1) = b; tri(j + 2) = if (x == a || x == b) y else x
+      j += 3
     }
     tri
+  }
+
+  /** The incidence ``inc`` written down: every s-clique once, at its least
+    * member r, as r followed by its other members in gather order
+    * (``inc.others + 1`` ids each, ascending in r). Sized by the parallel
+    * d_s count, then filled in one walk of [[Incidence.gather]]; throws
+    * ``ArithmeticException`` past Int.MaxValue.
+    */
+  def sCliques(inc: Incidence): Array[Int] = {
+    val others = inc.others
+    val deg = inc.degreeCounts(threads)
+    val flat = new Array[Int](flatSize(sCliqueCount(deg, others + 1), others + 1))
+    val buf = new Array[Int](Math.multiplyExact(deg.foldLeft(0)(math.max), others))
+    var p = 0
+    var r = 0
+    while (r < inc.numR) {
+      val end = others * inc.gather(r, buf)
+      var k = 0
+      while (k < end) {
+        var i = 0
+        while (i < others && buf(k + i) > r) i += 1
+        if (i == others) { flat(p) = r; System.arraycopy(buf, k, flat, p + 1, others); p += others + 1 }
+        k += others
+      }
+      r += 1
+    }
+    flat
+  }
+
+  /** Edge ids (ab, ac, bc) of each triangle of the stride-3 list ``tri``,
+    * flattened the same way; throws ``IllegalArgumentException`` if a listed
+    * triple is not a triangle of ``g``. The (2,3) hypergraph's members.
+    */
+  def edgeIds(g: LocalGraph, tri: Array[Int]): Array[Int] = {
+    val triEdges = new Array[Int](tri.length)
+    var t = 0
+    while (t < tri.length / 3) {
+      val a = tri(3 * t); val b = tri(3 * t + 1); val c = tri(3 * t + 2)
+      val ab = g.edgeId(a, b); val ac = g.edgeId(a, c); val bc = g.edgeId(b, c)
+      require(ab >= 0 && ac >= 0 && bc >= 0, s"($a,$b,$c) is not a triangle of the graph")
+      triEdges(3 * t) = ab; triEdges(3 * t + 1) = ac; triEdges(3 * t + 2) = bc
+      t += 1
+    }
+    triEdges
   }
 
   /** (1,2): r-cliques are vertices, s-cliques are edges. */
@@ -89,34 +128,18 @@ object NucleusBuilder {
   }
 
   /** (2,3): r-cliques are edges, s-cliques are triangles, whose members
-    * are their edge ids (ab, ac, bc) from [[TriangleIndex.edgeIds]].
+    * are their edge ids (ab, ac, bc) from [[edgeIds]], so s-clique t is
+    * triangle t.
     */
   def trussHypergraph(m: Materialized): Hypergraph =
-    new Hypergraph(m.graph.m, 3, TriangleIndex.edgeIds(m.graph, m.tri))
+    new Hypergraph(m.graph.m, 3, edgeIds(m.graph, m.tri))
 
   /** (3,4): r-cliques are triangles, s-cliques are four-cliques: the
-    * on-the-fly (3,4) incidence written down. [[Nucleus34OnTheFly.gather]]
-    * over every triangle, each K4 kept once, at its least face id.
+    * on-the-fly (3,4) incidence written down by [[sCliques]], each K4 at
+    * its least face id.
     */
-  def nucleus34Hypergraph(m: Materialized): Hypergraph = {
-    val inc = new Nucleus34OnTheFly(m.graph, m.tri)
-    val deg = inc.degreeCounts(1)
-    val flat = new Array[Int](flatSize(sCliqueCount(deg, 4), 4))
-    val buf = new Array[Int](Math.multiplyExact(deg.foldLeft(0)(math.max), 3))
-    var p = 0
-    var t = 0
-    while (t < inc.numR) {
-      val end = 3 * inc.gather(t, buf)
-      var k = 0
-      while (k < end) {
-        val f1 = buf(k); val f2 = buf(k + 1); val f3 = buf(k + 2)
-        if (t < f1 && t < f2 && t < f3) { flat(p) = t; flat(p + 1) = f1; flat(p + 2) = f2; flat(p + 3) = f3; p += 4 }
-        k += 3
-      }
-      t += 1
-    }
-    new Hypergraph(m.numTriangles, 4, flat)
-  }
+  def nucleus34Hypergraph(m: Materialized): Hypergraph =
+    new Hypergraph(m.numTriangles, 4, sCliques(new Nucleus34OnTheFly(m.graph, m.tri)))
 
   /** Dispatch on the (r, s) pair the paper evaluates. */
   def hypergraph(m: Materialized, r: Int, s: Int): Hypergraph = (r, s) match {

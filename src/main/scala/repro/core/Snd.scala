@@ -40,15 +40,15 @@ object Snd {
     * @param inc         the (r,s) incidence
     * @param threads     parallel workers for the d_s count and each pass
     *                    (1 = sequential)
-    * @param onIteration optional observer called after every pass with
-    *                    (pass number starting at 1, τ snapshot); the τ₀
-    *                    snapshot is delivered as pass 0 before iterating
+    * @param onIteration optional observer called at every pass barrier
+    *                    with (pass number starting at 1, τ), τ₀ as pass 0;
+    *                    τ is read-only and valid until the next pass
     */
   def decompose(inc: Incidence, threads: Int = 1,
                 onIteration: (Int, Array[Int]) => Unit = null): IterResult = {
     val n = inc.numR
     val tau = inc.degreeCounts(threads)
-    if (onIteration != null) onIteration(0, tau.clone())
+    if (onIteration != null) onIteration(0, tau)
     val tauP = new Array[Int](n)
     val maxDeg = if (n == 0) 0 else tau.max
     val changed = new java.util.concurrent.atomic.AtomicBoolean(false)
@@ -66,7 +66,7 @@ object Snd {
       }
       active :+= n.toLong
       if (changed.get()) iterations += 1 else go = false
-      if (onIteration != null) onIteration(active.length, tau.clone())
+      if (onIteration != null) onIteration(active.length, tau)
     }
     IterResult(tau, iterations, active)
   }

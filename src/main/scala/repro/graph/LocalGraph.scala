@@ -92,13 +92,16 @@ object LocalGraph {
   }
 
   /** Build from canonical (u < v), distinct edge pairs with dense vertex
-    * ids; a repeated edge throws ``IllegalArgumentException``.
+    * ids; a non-canonical or repeated edge or a negative id throws
+    * ``IllegalArgumentException``.
     */
   def fromPairs(pairs: Array[(Int, Int)]): LocalGraph = {
     val es = pairs.sorted
+    // Sorted and canonical (checked before any id indexes), so es(0)._1 is the least id.
+    require(es.isEmpty || es(0)._1 >= 0, s"negative vertex id: ${es(0)._1}")
     val n = if (es.isEmpty) 0 else es.iterator.map(e => math.max(e._1, e._2)).max + 1
     val deg = new Array[Int](n + 1)
-    es.foreach { case (u, v) => deg(u + 1) += 1; deg(v + 1) += 1 }
+    es.foreach { case (u, v) => require(u < v, s"edge not canonical: ($u,$v)"); deg(u + 1) += 1; deg(v + 1) += 1 }
     val off = new Array[Int](n + 1)
     var i = 0
     while (i < n) { off(i + 1) = off(i) + deg(i + 1); i += 1 }
@@ -108,7 +111,6 @@ object LocalGraph {
     var e = 0
     while (e < es.length) {
       val (u, v) = es(e)
-      require(u < v, s"edge not canonical: ($u,$v)")
       require(e == 0 || es(e - 1) != es(e), s"repeated edge: ($u,$v)")
       vtx(cur(u)) = v; eid(cur(u)) = e; cur(u) += 1
       vtx(cur(v)) = u; eid(cur(v)) = e; cur(v) += 1

@@ -7,7 +7,7 @@ import repro.synth.Proxies
 
 /** §5.2 of the paper (the prose behind Figures 1, 6 and 7): how fast the τ
   * indices approach κ_s. For every (graph, decomposition) it runs sequential
-  * AND with per-pass snapshots and reports
+  * AND, reads τ in place at every pass barrier, and reports
   *  - iterations until the strict Kendall-Tau similarity vs κ reaches
   *    0.90 and 0.99 (paper averages: 5.4/7.7/6 and 19.3/17.7/12.5), and
   *  - the accuracy (fraction of converged τ) at the first pass where the
@@ -35,8 +35,8 @@ object ConvergenceHarness {
         val i = xs.indexWhere(_ >= t)
         if (i < 0) xs.length - 1 else i
       }
-      // activeTrace(p) is the work of pass p+1, whose resulting τ snapshot
-      // is accs(p+1); report accuracy right after the first pass whose
+      // activeTrace(p) is the work of pass p+1, whose resulting τ gives
+      // accs(p+1); report accuracy right after the first pass whose
       // active ratio fell below the threshold.
       def accBelow(ratio: Double): Double = {
         val i = res.activeTrace.indexWhere(_.toDouble / math.max(1, h.numR) < ratio)

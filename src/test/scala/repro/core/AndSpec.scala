@@ -131,5 +131,8 @@ class AndSpec extends AnyFunSuite {
   test("order argument must be a permutation-sized array") {
     val h = TestGraphs.hypergraph(TestGraphs.fig3, 1, 2)
     intercept[IllegalArgumentException] { And.decompose(h, order = Array(0, 1)) }
+    // The right length, but vertex 0 is never visited and 1 twice.
+    for (notify <- Seq(true, false))
+      intercept[IllegalArgumentException] { And.decompose(h, notify = notify, order = Array(1, 1, 2, 3, 4, 5)) }
   }
 }

@@ -18,16 +18,6 @@ class NucleusBuilderSpec extends SparkSpec {
   private def rows(cliques: DataFrame): Seq[Seq[Int]] =
     cliques.collect().map(r => (0 until r.length).map(r.getLong(_).toInt): Seq[Int]).toSeq.sorted(bySeq)
 
-  /** The s-cliques of the (3,4) hypergraph of ``m`` as vertex tuples,
-    * ascending, each the union of its four faces.
-    */
-  private def k4Sets(m: NucleusBuilder.Materialized): Seq[Seq[Int]] =
-    NucleusBuilder.nucleus34Hypergraph(m).members.grouped(4).map { faces =>
-      val vs = faces.flatMap(t => m.tri.slice(3 * t, 3 * t + 3)).distinct.sorted.toSeq
-      assert(vs.length == 4 && faces.distinct.length == 4, s"faces ${faces.toSeq} are not the faces of one K4")
-      vs
-    }.toSeq.sorted(bySeq)
-
   /** Random graphs and complete graphs: the fixtures of the listing tests. */
   private val fixtures = (1 to 4).map(seed => s"random seed=$seed" -> TestGraphs.randomGraph(16, 0.5, seed)) ++
     (4 to 7).map(n => s"K$n" -> TestGraphs.complete(n))
@@ -59,10 +49,10 @@ class NucleusBuilderSpec extends SparkSpec {
       val edges = df(pairs)
       val m = NucleusBuilder.materialize(edges)
       val rel = GraphOps.relabelByDegree(GraphOps.canonicalize(edges))
-      val brute = TestGraphs.fourCliques(m.graph.edges).toSeq.map(q => Seq(q._1, q._2, q._3, q._4))
+      val brute = TestGraphs.k4Tuples(m)
       assert(rows(FourCliques.enumerate(rel, Triangles.enumerate(rel))) == brute, s"$label: references disagree")
       for ((mm, order) <- Seq((m, "sorted"), (TestGraphs.shuffled(m, 5), "shuffled"))) {
-        assert(k4Sets(mm) == brute, s"$label, $order")
+        assert(TestGraphs.k4Sets(mm) == brute, s"$label, $order")
         assert(mm.numQuads == brute.length, s"$label, $order: numQuads")
       }
     }
@@ -108,7 +98,7 @@ class NucleusBuilderSpec extends SparkSpec {
   test("(3,4) hypergraph members reference the four faces of each K4") {
     val pairs = TestGraphs.randomGraph(12, 0.55, 12)
     val m = TestGraphs.shuffled(TestGraphs.materialize(pairs), 12)
-    assert(k4Sets(m) == TestGraphs.fourCliques(pairs).toSeq.map(q => Seq(q._1, q._2, q._3, q._4)))
+    assert(TestGraphs.k4Sets(m) == TestGraphs.k4Tuples(m))
   }
 
   test("truss hypergraph rejects a listed non-triangle") {

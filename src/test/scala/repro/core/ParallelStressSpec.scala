@@ -9,7 +9,8 @@ import repro.testutil.TestGraphs
   * fixtures of the other suites never exercise a race. Here every
   * decomposition has 1500 or more r-cliques, and the notifying parallel
   * AND, over the materialized and the on-the-fly incidences, must return
-  * exactly the peeling κ on every one of many runs.
+  * exactly the peeling κ on every one of many runs. The clique listings,
+  * whose d_s count runs on every core, must equal brute force here too.
   */
 class ParallelStressSpec extends AnyFunSuite {
 
@@ -18,16 +19,36 @@ class ParallelStressSpec extends AnyFunSuite {
 
   private lazy val m = TestGraphs.materialize(TestGraphs.powerLaw(1500, 20000, 0.45, 30, 12, seed = 5))
 
+  /** The materialized hypergraphs of (1,2), (2,3) and (3,4), labelled. */
+  private lazy val hs = Seq((1, 2), (2, 3), (3, 4)).map { case (r, s) => s"($r,$s)" -> NucleusBuilder.hypergraph(m, r, s) }
+
   /** (label, incidence, peeling κ of the materialized hypergraph). */
   private lazy val cases: Seq[(String, Incidence, Array[Int])] = {
-    val hs = Seq((1, 2), (2, 3), (3, 4)).map { case (r, s) => (r, s) -> NucleusBuilder.hypergraph(m, r, s) }
-    hs.map { case ((r, s), h) => (s"($r,$s) materialized", h: Incidence, Peeling.decompose(h)) } ++
+    hs.map { case (rs, h) => (s"$rs materialized", h: Incidence, Peeling.decompose(h)) } ++
       Seq(("(2,3) on the fly", new TrussOnTheFly(m.graph): Incidence, Peeling.decompose(hs(1)._2)),
           ("(3,4) on the fly", new Nucleus34OnTheFly(m.graph, m.tri): Incidence, Peeling.decompose(hs(2)._2)))
   }
 
   test("fixtures have at least 1500 r-cliques in every decomposition") {
     for ((label, inc, _) <- cases) assert(inc.numR >= 1500, s"$label: ${inc.numR} r-cliques")
+  }
+
+  test("the triangle listing equals brute force") {
+    assert(NucleusBuilder.triangles(m.graph).sameElements(m.tri))
+  }
+
+  test("the (3,4) hypergraph's K4s, read as vertex sets, equal brute force") {
+    assert(TestGraphs.k4Sets(m) == TestGraphs.k4Tuples(m))
+  }
+
+  test("sCliques writes down each materialized hypergraph: its s-cliques, each at its least member") {
+    val bySeq = Ordering.Implicits.seqOrdering[Seq, Int]
+    for ((label, h) <- hs) {
+      val listed = NucleusBuilder.sCliques(h).grouped(h.arity).map(_.toSeq).toSeq
+      assert(listed.forall(sc => sc.head == sc.min), s"$label: not at the least member")
+      assert(listed.map(_.head) == listed.map(_.head).sorted, s"$label: not ascending in r")
+      assert(listed.map(_.sorted).sorted(bySeq) == h.members.grouped(h.arity).map(_.sorted.toSeq).toSeq.sorted(bySeq), label)
+    }
   }
 
   test("parallel AND with notification equals peeling on every run") {

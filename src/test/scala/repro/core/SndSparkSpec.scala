@@ -59,7 +59,7 @@ class SndSparkSpec extends SparkSpec {
     for (seed <- 1 to 2; (r, s) <- Seq((1, 2), (2, 3), (3, 4))) {
       val h = TestGraphs.hypergraph(TestGraphs.randomGraph(14, 0.4, seed), r, s)
       val snaps = scala.collection.mutable.ArrayBuffer.empty[Array[Int]]
-      Snd.decompose(h, onIteration = (_, t) => snaps += t)
+      Snd.decompose(h, onIteration = (_, t) => snaps += t.clone())
       val expected = snaps.zip(snaps.tail).map { case (a, b) => a.indices.count(i => a(i) != b(i)).toLong }.toSeq
       val got = scala.collection.mutable.ArrayBuffer.empty[(Int, Long)]
       run(h, onPass = (p, c) => got += ((p, c)))

@@ -52,6 +52,7 @@ class LocalGraphSpec extends SparkSpec {
   test("rejects non-canonical edges") {
     import spark.implicits._
     intercept[IllegalArgumentException] { LocalGraph.fromPairs(Array((1, 0))) }
+    intercept[IllegalArgumentException] { LocalGraph.fromPairs(Array((-1, 0))) }
     intercept[IllegalArgumentException] { LocalGraph.fromEdges(Seq((9L, 5L)).toDF("u", "v")) }
   }
 

@@ -82,6 +82,21 @@ object TestGraphs {
     })
   }
 
+  /** The s-cliques of the (3,4) hypergraph of ``m`` as vertex tuples,
+    * ascending, each the union of its four faces; throws if some s-clique's
+    * members are not the four faces of one K4.
+    */
+  def k4Sets(m: NucleusBuilder.Materialized): Seq[Seq[Int]] =
+    NucleusBuilder.nucleus34Hypergraph(m).members.grouped(4).map { faces =>
+      val vs = faces.flatMap(t => m.tri.slice(3 * t, 3 * t + 3)).distinct.sorted.toSeq
+      require(vs.length == 4 && faces.distinct.length == 4, s"faces ${faces.toSeq} are not the faces of one K4")
+      vs
+    }.toSeq.sorted(Ordering.Implicits.seqOrdering[Seq, Int])
+
+  /** Brute-force K4s of ``m``'s graph as vertex tuples, ascending. */
+  def k4Tuples(m: NucleusBuilder.Materialized): Seq[Seq[Int]] =
+    fourCliques(m.graph.edges).toSeq.map(q => Seq(q._1, q._2, q._3, q._4))
+
   /** ``m`` with its triangles in a seeded random order, as another lister
     * may return them.
     */
