@@ -38,30 +38,41 @@ object And {
   def decompose(inc: Incidence, threads: Int = 1, notify: Boolean = true,
                 order: Array[Int] = null,
                 onIteration: (Int, Array[Int]) => Unit = null): IterResult = {
+    require(order == null || isPermutation(order, inc.numR), "order must be a permutation of 0..numR-1")
+    iterate(inc, threads, notify, order, snapshot = false, onIteration)
+  }
+
+  /** The pass loop of AND and of SND. With ``snapshot`` every pass first
+    * copies τ into a buffer, reads that buffer and writes τ (SND's Jacobi
+    * step); without it every pass reads τ in place. A null ``order`` is
+    * the natural order, read as the loop index itself.
+    */
+  private[core] def iterate(inc: Incidence, threads: Int, notify: Boolean, order: Array[Int],
+                            snapshot: Boolean, onIteration: (Int, Array[Int]) => Unit): IterResult = {
     val n = inc.numR
-    require(order == null || isPermutation(order, n), "order must be a permutation of 0..numR-1")
-    val ord = if (order != null) order else Array.tabulate(n)(identity)
     val tau = inc.degreeCounts(threads)
     if (onIteration != null) onIteration(0, tau)
     val maxDeg = if (n == 0) 0 else tau.max
+    val read = if (snapshot) new Array[Int](n) else tau
     val c: Array[Boolean] = if (notify) Array.fill(n)(true) else null
     val changed = new java.util.concurrent.atomic.AtomicBoolean(false)
 
-    /** One pass over ``ord``; returns the h-index evaluations it made,
+    /** One pass over the order; returns the h-index evaluations it made,
       * counted per worker and summed after the pass's barrier.
       */
     def pass(): Long = {
       changed.set(false)
+      if (snapshot) System.arraycopy(tau, 0, read, 0, n)
       val workers = new java.util.concurrent.ConcurrentLinkedQueue[Gathered]
       ParallelFor.dynamic(n, threads)(() => { val g = new Gathered(inc, maxDeg); workers.add(g); g }) { (idx, g) =>
-        val r = ord(idx)
+        val r = if (order == null) idx else order(idx)
         if (c == null || c(r)) {
           // Clear before reading, so a notification that lands while r is
           // being computed survives to the next pass.
           if (c != null) c(r) = false
           g.computations += 1
           g.load(r)
-          val hv = g.hIndex(tau)
+          val hv = g.hIndex(read)
           val old = tau(r)
           if (hv != old) {
             changed.set(true)

@@ -30,12 +30,17 @@ object ParallelFor {
       t
     }))
 
+  /** A loop body. Not a ``Function2``, so the index reaches it unboxed;
+    * a lambda converts to it.
+    */
+  trait Body[S] { def apply(i: Int, s: S): Unit }
+
   /** Run ``body(i, scratch)`` for every i in [0, n) on ``threads`` workers,
     * [[Chunk]] indices at a time. ``mkScratch`` is invoked once per worker.
     * With threads <= 1 or n <= [[Chunk]] the loop runs inline
     * (deterministic sequential order 0..n-1).
     */
-  def dynamic[S](n: Int, threads: Int)(mkScratch: () => S)(body: (Int, S) => Unit): Unit = {
+  def dynamic[S](n: Int, threads: Int)(mkScratch: () => S)(body: Body[S]): Unit = {
     if (threads <= 1 || n <= Chunk) {
       val s = mkScratch()
       var i = 0

@@ -31,7 +31,8 @@ final case class IterResult(
   * Jacobi-style iteration of the update operator 𝒰 (Definition 5): every
   * pass computes all τ values from the previous pass's snapshot, so the
   * result and the iteration count are deterministic and independent of both
-  * processing order and thread count.
+  * processing order and thread count. It is [[And]]'s pass loop reading that
+  * snapshot, with no notification.
   */
 object Snd {
 
@@ -45,29 +46,6 @@ object Snd {
     *                    τ is read-only and valid until the next pass
     */
   def decompose(inc: Incidence, threads: Int = 1,
-                onIteration: (Int, Array[Int]) => Unit = null): IterResult = {
-    val n = inc.numR
-    val tau = inc.degreeCounts(threads)
-    if (onIteration != null) onIteration(0, tau)
-    val tauP = new Array[Int](n)
-    val maxDeg = if (n == 0) 0 else tau.max
-    val changed = new java.util.concurrent.atomic.AtomicBoolean(false)
-    var iterations = 0
-    var active = Vector.empty[Long]
-    var go = n > 0
-    while (go) {
-      System.arraycopy(tau, 0, tauP, 0, n)
-      changed.set(false)
-      ParallelFor.dynamic(n, threads)(() => new Gathered(inc, maxDeg)) { (r, g) =>
-        g.load(r)
-        val hv = g.hIndex(tauP)
-        if (hv != tauP(r)) changed.set(true)
-        tau(r) = hv
-      }
-      active :+= n.toLong
-      if (changed.get()) iterations += 1 else go = false
-      if (onIteration != null) onIteration(active.length, tau)
-    }
-    IterResult(tau, iterations, active)
-  }
+                onIteration: (Int, Array[Int]) => Unit = null): IterResult =
+    And.iterate(inc, threads, notify = false, order = null, snapshot = true, onIteration)
 }

@@ -8,8 +8,9 @@ import org.scalatest.funsuite.AnyFunSuite
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so the clique-enumeration joins
-  * take the shuffle path, as they do in the jobs.
+  * limit). Broadcast joins are disabled so the DuckDB-checked reference
+  * joins (`Triangles`, `FourCliques`) take the shuffle path, as in the
+  * benchmark's traced run.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

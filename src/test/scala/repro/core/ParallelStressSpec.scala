@@ -64,6 +64,29 @@ class ParallelStressSpec extends AnyFunSuite {
       assert(And.decompose(inc, threads = t, notify = false).kappa.sameElements(kappa), s"$label, $t threads")
   }
 
+  test("parallel SND takes the Jacobi step of the member lists on every pass, as 1 thread does") {
+    def passes(inc: Incidence, t: Int): (IterResult, Seq[Array[Int]]) = {
+      val taus = scala.collection.mutable.ArrayBuffer.empty[Array[Int]]
+      (Snd.decompose(inc, threads = t, onIteration = (_, tau) => taus += tau.clone), taus.toSeq)
+    }
+    // Each incidence with the materialized hypergraph whose members define its step.
+    val withMembers = hs.map { case (rs, h) => (s"$rs materialized", h: Incidence, h) } ++
+      Seq(("(2,3) on the fly", new TrussOnTheFly(m.graph): Incidence, hs(1)._2),
+          ("(3,4) on the fly", new Nucleus34OnTheFly(m.graph, m.tri): Incidence, hs(2)._2))
+    for ((label, inc, h) <- withMembers) {
+      val runs = (1 +: threadCounts).map(t => t -> passes(inc, t))
+      val (seq, seqTaus) = runs.head._2
+      assert(seq.iterations >= 2, s"$label: ${seq.iterations} iterations")
+      for ((t, (res, taus)) <- runs) {
+        for (p <- 1 until taus.length)
+          assert(taus(p).sameElements(TestGraphs.sndStep(h, taus(p - 1))), s"$label, $t threads, pass $p")
+        assert(res.iterations == seq.iterations, s"$label, $t threads: iterations")
+        assert(taus.length == seqTaus.length && taus.indices.forall(p => taus(p).sameElements(seqTaus(p))),
+               s"$label, $t threads: a pass differs from the 1-thread run's")
+      }
+    }
+  }
+
   test("parallel SND and the parallel d_s count of peeling equal peeling") {
     for ((label, inc, kappa) <- cases; t <- threadCounts) {
       assert(Snd.decompose(inc, threads = t).kappa.sameElements(kappa), s"$label SND, $t threads")

@@ -37,6 +37,19 @@ class SndSpec extends AnyFunSuite {
     }
   }
 
+  test("every pass is the Jacobi step of the pass before, from the member lists") {
+    var multiPass = 0
+    for (seed <- 1 to 12; (r, s) <- Seq((1, 2), (2, 3), (3, 4))) {
+      val h = TestGraphs.hypergraph(TestGraphs.randomGraph(14, 0.4, seed), r, s)
+      val passes = scala.collection.mutable.ArrayBuffer.empty[Array[Int]]
+      val res = Snd.decompose(h, onIteration = (_, t) => passes += t.clone)
+      for (p <- 1 until passes.length)
+        assert(passes(p).sameElements(TestGraphs.sndStep(h, passes(p - 1))), s"(r,s)=($r,$s) seed=$seed pass $p")
+      if (res.iterations >= 2) multiPass += 1
+    }
+    assert(multiPass > 0, "no fixture took two iterations")
+  }
+
   test("parallel SND equals sequential SND (same kappa and iteration count)") {
     for (seed <- 1 to 6; (r, s) <- Seq((1, 2), (2, 3), (3, 4))) {
       val h = TestGraphs.hypergraph(TestGraphs.randomGraph(30, 0.25, seed), r, s)

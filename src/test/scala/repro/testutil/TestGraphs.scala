@@ -1,6 +1,6 @@
 package repro.testutil
 
-import repro.core.{Hypergraph, NucleusBuilder}
+import repro.core.{HIndex, Hypergraph, NucleusBuilder}
 import repro.graph.LocalGraph
 
 /** Driver-side graph fixtures and independent brute-force oracles for the
@@ -136,6 +136,18 @@ object TestGraphs {
       k += 1
     }
     kappa
+  }
+
+  /** One SND step straight from Definition 5 on ``h``'s raw member lists:
+    * the next τ of r is H over the s-cliques S ∋ r of
+    * min{τ(r′) : r′ ∈ S, r′ ≠ r}, by [[HIndex.naive]]. It reads neither the
+    * incidence CSR nor the engines' gather buffers.
+    */
+  def sndStep(h: Hypergraph, tau: Array[Int]): Array[Int] = {
+    val rhos = Array.fill(h.numR)(scala.collection.mutable.ArrayBuffer.empty[Int])
+    for (sc <- h.members.grouped(h.arity); p <- sc.indices)
+      rhos(sc(p)) += sc.indices.filter(_ != p).map(q => tau(sc(q))).min
+    rhos.map(b => HIndex.naive(b.toSeq))
   }
 
   /** The paper's Figure 3/5 toy graph as pairs (a=0 … f=5). */
