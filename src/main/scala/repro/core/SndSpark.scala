@@ -21,17 +21,28 @@ import org.apache.spark.sql.functions._
   * pass, filled by the same job that runs the eager localCheckpoint (which
   * truncates lineage, so unbounded iteration stays stable under Spark); no
   * pass runs a separate count.
+  *
+  * Each aggregation runs on an explicit `repartition(P, key)` with P the
+  * session's `defaultParallelism` (one task per core): the aggregation then
+  * reuses that hash partitioning, so it needs no second exchange and no
+  * map-side partial `collect_list`. A repartition given a count is also left
+  * alone by adaptive query execution, which otherwise merges these small
+  * shuffles into 2–4 tasks and leaves cores idle for most of every stage.
   */
 object SndSpark {
 
   /** Membership DataFrame (sid, rid) of a local [[Hypergraph]], for tests
-    * and jobs that want to drive the dataflow engine from the same input.
+    * and jobs that want to drive the dataflow engine from the same input:
+    * row i of `spark.range` is member i of `h.members`, read from one
+    * broadcast of the array, so no row is built on the driver.
     */
   def membershipOf(spark: SparkSession, h: Hypergraph): DataFrame = {
     import spark.implicits._
-    val rows = for (s <- 0 until h.numS; k <- 0 until h.arity)
-      yield (s.toLong, h.members(s * h.arity + k).toLong)
-    rows.toDF("sid", "rid")
+    val members = spark.sparkContext.broadcast(h.members)
+    val arity = h.arity
+    spark.range(h.members.length.toLong)
+      .map(i => (i / arity, members.value(i.toInt).toLong))
+      .toDF("sid", "rid")
   }
 
   /** H over an array column: sorted descending, the i-th value (0-based)
@@ -53,8 +64,9 @@ object SndSpark {
     */
   def decompose(spark: SparkSession, membership: DataFrame, numR: Long,
                 maxIters: Int = 1000, onPass: (Int, Long) => Unit = null): (DataFrame, Int) = {
+    val p = spark.sparkContext.defaultParallelism
     var state = membership.select(col("sid").cast("long"), col("rid").cast("long"))
-      .groupBy("rid").agg(collect_list(col("sid")).as("sids"))
+      .repartition(p, col("rid")).groupBy("rid").agg(collect_list(col("sid")).as("sids"))
       .select(col("rid"), size(col("sids")).as("tau"), col("sids"))
       .localCheckpoint(true)
     var iterations = 0
@@ -62,14 +74,14 @@ object SndSpark {
     while (!converged) {
       val perS = state
         .select(explode(col("sids")).as("sid"), struct(col("tau"), col("rid")).as("m"))
-        .groupBy("sid").agg(sort_array(collect_list(col("m"))).as("ms"))
+        .repartition(p, col("sid")).groupBy("sid").agg(sort_array(collect_list(col("m"))).as("ms"))
       val rho = perS
         .select(col("sid"), element_at(col("ms"), 1).as("a"), element_at(col("ms"), 2).as("b"),
                 explode(col("ms")).as("m"))
         .select(col("sid"), col("m.rid").as("rid"), col("m.tau").as("prev"),
                 when(col("m.rid") === col("a.rid"), col("b.tau")).otherwise(col("a.tau")).as("rho"))
       val changes = Observation()
-      state = rho.groupBy("rid")
+      state = rho.repartition(p, col("rid")).groupBy("rid")
         .agg(hIndex(collect_list(col("rho"))).as("tau"), collect_list(col("sid")).as("sids"),
              min(col("prev")).as("prev"))
         .observe(changes, count_if(col("tau") =!= col("prev")).as("changed"))

@@ -29,11 +29,17 @@ object GraphOps {
     * non-decreasing (degree, id) order and return it, still canonical, in
     * the new id space: the edges of [[LocalGraph.fromEdges]], which holds
     * the one ranking, as a DataFrame (the edges are collected and ranked on
-    * the driver). Relabelling the result again changes no id.
+    * the driver). Row i of `spark.range` is edge i, read from one broadcast
+    * of the flattened (u, v) array, so the rows do not ride inside the tasks.
+    * Relabelling the result again changes no id.
     */
   def relabelByDegree(edges: DataFrame): DataFrame = {
     val spark = edges.sparkSession
     import spark.implicits._
-    LocalGraph.fromEdges(edges).edges.toSeq.map { case (u, v) => (u.toLong, v.toLong) }.toDF("u", "v")
+    val es = LocalGraph.fromEdges(edges).edges
+    val uv = spark.sparkContext.broadcast(es.flatMap { case (u, v) => Array(u, v) })
+    spark.range(es.length.toLong)
+      .map { i => val j = 2 * i.toInt; (uv.value(j).toLong, uv.value(j + 1).toLong) }
+      .toDF("u", "v")
   }
 }

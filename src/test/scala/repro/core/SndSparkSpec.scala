@@ -93,4 +93,35 @@ class SndSparkSpec extends SparkSpec {
       assert(iters == local.iterations, s"(r,s)=($r,$s) iters")
     }
   }
+
+  test("membershipOf lists every member slot of every s-clique, all (r,s)") {
+    val g = TestGraphs.randomGraph(14, 0.4, 1)
+    for ((r, s) <- Seq((1, 2), (2, 3), (3, 4))) {
+      val h = TestGraphs.hypergraph(g, r, s)
+      val rows = SndSpark.membershipOf(spark, h).collect().map(x => (x.getLong(0), x.getLong(1))).sorted.toSeq
+      val expected = for (j <- 0 until h.numS; k <- 0 until h.arity)
+        yield (j.toLong, h.members(j * h.arity + k).toLong)
+      assert(h.numS > 0 && rows == expected.sorted, s"(r,s)=($r,$s)")
+    }
+    assert(SndSpark.membershipOf(spark, Hypergraph.fromSeqs(3, 2, Seq.empty)).count() == 0)
+  }
+
+  test("decompose gives local SND's kappa, iterations and changed counts however its input is partitioned") {
+    val m = TestGraphs.materialize(TestGraphs.powerLaw(300, 3000, 0.45, 8, 8, seed = 3))
+    for ((r, s) <- Seq((1, 2), (2, 3), (3, 4))) {
+      val h = NucleusBuilder.hypergraph(m, r, s)
+      val snaps = scala.collection.mutable.ArrayBuffer.empty[Array[Int]]
+      val local = Snd.decompose(h, onIteration = (_, t) => snaps += t.clone())
+      val expected = snaps.zip(snaps.tail).map { case (a, b) => a.indices.count(i => a(i) != b(i)).toLong }.toSeq
+      val membership = SndSpark.membershipOf(spark, h)
+      for ((layout, input) <- Seq("coalesce(1)" -> membership.coalesce(1), "repartition(7)" -> membership.repartition(7))) {
+        val changed = scala.collection.mutable.ArrayBuffer.empty[Long]
+        val (df, iters) = SndSpark.decompose(spark, input, h.numR, onPass = (_, c) => changed += c)
+        val kappa = df.collect().map(x => (x.getLong(0).toInt, x.getInt(1))).sortBy(_._1).map(_._2).toSeq
+        assert(kappa == local.kappa.toSeq, s"(r,s)=($r,$s) $layout kappa")
+        assert(iters == local.iterations, s"(r,s)=($r,$s) $layout iters")
+        assert(changed == expected, s"(r,s)=($r,$s) $layout changed counts")
+      }
+    }
+  }
 }
