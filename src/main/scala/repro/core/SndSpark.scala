@@ -27,7 +27,8 @@ import org.apache.spark.sql.functions._
   * reuses that hash partitioning, so it needs no second exchange and no
   * map-side partial `collect_list`. A repartition given a count is also left
   * alone by adaptive query execution, which otherwise merges these small
-  * shuffles into 2–4 tasks and leaves cores idle for most of every stage.
+  * shuffles into fewer tasks than cores (2–4 on 4 cores), and a stage
+  * lasts as long as its slowest task.
   */
 object SndSpark {
 
