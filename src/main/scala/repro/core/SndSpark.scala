@@ -1,36 +1,47 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame, Observation, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, Encoder, Observation, SparkSession}
 import org.apache.spark.sql.functions._
 
-/** Pure-dataflow SND: the update operator 𝒰 expressed as Catalyst
-  * aggregations, iterated to a fixpoint — the DataFrame rendering of
-  * "Pregel-style iterative message passing", one message round
-  * (r-clique → s-clique → r-clique) per pass.
+/** Pure-dataflow SND: the update operator 𝒰 iterated to a fixpoint as
+  * Spark shuffles and per-partition walks — "Pregel-style iterative
+  * message passing", one message round (r-clique → s-clique → r-clique)
+  * per pass, each pass one superstep.
   *
-  * The state is one relation keyed by r-clique, (rid, tau, sids): the ids of
-  * the s-cliques an r-clique belongs to travel with it, so the membership is
-  * never joined again. One pass is two aggregations and no join:
+  * The state is one Dataset keyed by r-clique, [[RClique]] (rid, tau, sids,
+  * prev): the ids of the s-cliques an r-clique belongs to travel with it, so
+  * the membership is never joined again. One pass is two shuffles, each an
+  * explicit `repartition(P, key)` sorted within its partitions, walked by
+  * plain code and no aggregation:
   * {{{
-  *   S ↦ sorted [(τ(R), R) : R ∈ S]                  (explode sids, groupBy(sid))
-  *   ρ(S,R) = τ of S's first entry, or of its second if R is the first
-  *   τ'(R)  = H({ρ(S,R) : S ∋ R})                    (groupBy(rid), built-in H)
+  *   explode sids to (sid, rid, τ), sorted by (sid, τ)        [[rhoWalk]]
+  *   ρ(S,R) = τ of S's first row, or of its second if R is the first
+  *   (rid, sid, ρ, prev), sorted by rid                       [[tauWalk]]
+  *   τ'(R)  = H({ρ(S,R) : S ∋ R}) by HIndexScratch
   * }}}
-  * The first entry holds S's least τ, so ρ is the least τ of S's *other*
-  * members, ties included. The changed count is an [[Observation]] on the
-  * pass, filled by the same job that runs the eager localCheckpoint (which
-  * truncates lineage, so unbounded iteration stays stable under Spark); no
-  * pass runs a separate count.
+  * Each walk streams one group (one s-clique, one r-clique) at a time, so
+  * a task holds one group and the sort below it can spill. τ₀ = d_s is the
+  * per-r-clique walk over the membership with every ρ = `Int.MaxValue`: H of
+  * d values that are all ≥ d is d. The changed count is an [[Observation]]
+  * on the pass, filled by the same job that runs the eager localCheckpoint
+  * (which truncates lineage, so unbounded iteration stays stable under
+  * Spark); no pass runs a separate count.
   *
-  * Each aggregation runs on an explicit `repartition(P, key)` with P the
-  * session's `defaultParallelism` (one task per core): the aggregation then
-  * reuses that hash partitioning, so it needs no second exchange and no
-  * map-side partial `collect_list`. A repartition given a count is also left
-  * alone by adaptive query execution, which otherwise merges these small
-  * shuffles into fewer tasks than cores (2–4 on 4 cores), and a stage
-  * lasts as long as its slowest task.
+  * P is the session's `defaultParallelism`, one task per core: adaptive
+  * query execution leaves a repartition given a count alone, where it
+  * would merge these small shuffles into fewer tasks than cores (2–4 on 4
+  * cores), and a stage lasts as long as its slowest task.
   */
 object SndSpark {
+
+  /** An r-clique after a pass: its τ, its s-cliques' ids, its τ before. */
+  private[core] final case class RClique(rid: Long, tau: Int, sids: Array[Long], prev: Int)
+
+  /** Member ``rid`` of s-clique ``sid``, with its τ. */
+  private[core] final case class Slot(sid: Long, rid: Long, tau: Int)
+
+  /** ρ(sid, rid) for the r-clique ``rid``, whose τ is ``prev``. */
+  private[core] final case class Rho(rid: Long, sid: Long, rho: Int, prev: Int)
 
   /** Membership DataFrame (sid, rid) of a local [[Hypergraph]], for tests
     * and jobs that want to drive the dataflow engine from the same input:
@@ -46,11 +57,56 @@ object SndSpark {
       .toDF("sid", "rid")
   }
 
-  /** H over an array column: sorted descending, the i-th value (0-based)
-    * counts while it exceeds i.
+  /** The per-s-clique walk over slots sorted by (sid, tau): an s-clique's
+    * first row holds its least τ and its second row the next, so every
+    * member reads the least τ of the *other* members, ties included, from
+    * those two alone.
+    *
+    * @throws IllegalArgumentException on an s-clique with fewer than 2 members
     */
-  private[core] def hIndex(xs: Column): Column =
-    size(filter(sort_array(xs, asc = false), (x, i) => x > i))
+  private[core] def rhoWalk(slots: Iterator[Slot]): Iterator[Rho] = {
+    val in = slots.buffered
+    var started = false
+    var sid = 0L
+    var least = 0
+    in.map { m =>
+      if (started && m.sid == sid) Rho(m.rid, m.sid, least, m.tau)
+      else {
+        if (!in.hasNext || in.head.sid != m.sid)
+          throw new IllegalArgumentException(s"SndSpark: s-clique ${m.sid} has fewer than 2 members")
+        started = true
+        sid = m.sid
+        least = m.tau
+        Rho(m.rid, m.sid, in.head.tau, m.tau)
+      }
+    }
+  }
+
+  /** The per-r-clique walk over rows sorted by rid: each r-clique's τ′ is
+    * H of its ρ's, its sids are kept and its τ before the pass is carried.
+    */
+  private[core] def tauWalk(rows: Iterator[Rho]): Iterator[RClique] = {
+    val in = rows.buffered
+    var h = new HIndexScratch(16)
+    var sids = new Array[Long](16)
+    in.map { first =>
+      var n = 0
+      var x = first
+      while (x != null) {
+        if (n == h.capacity) {
+          val grown = new HIndexScratch(2 * n)
+          System.arraycopy(h.vals, 0, grown.vals, 0, n)
+          h = grown
+          sids = java.util.Arrays.copyOf(sids, 2 * n)
+        }
+        h.vals(n) = x.rho
+        sids(n) = x.sid
+        n += 1
+        x = if (in.hasNext && in.head.rid == first.rid) in.next() else null
+      }
+      RClique(first.rid, h.hIndex(n), java.util.Arrays.copyOf(sids, n), first.prev)
+    }
+  }
 
   /** Run to convergence.
     *
@@ -65,28 +121,21 @@ object SndSpark {
     */
   def decompose(spark: SparkSession, membership: DataFrame, numR: Long,
                 maxIters: Int = 1000, onPass: (Int, Long) => Unit = null): (DataFrame, Int) = {
+    import spark.implicits._
     val p = spark.sparkContext.defaultParallelism
-    var state = membership.select(col("sid").cast("long"), col("rid").cast("long"))
-      .repartition(p, col("rid")).groupBy("rid").agg(collect_list(col("sid")).as("sids"))
-      .select(col("rid"), size(col("sids")).as("tau"), col("sids"))
-      .localCheckpoint(true)
+    def walk[A, B: Encoder](ds: Dataset[A], key: String, more: String*)(f: Iterator[A] => Iterator[B]) =
+      ds.repartition(p, col(key)).sortWithinPartitions(key, more: _*).mapPartitions(f)
+
+    val init = membership.select(col("rid").cast("long"), col("sid").cast("long"),
+                                 lit(Int.MaxValue).as("rho"), lit(0).as("prev")).as[Rho]
+    var state = walk(init, "rid")(tauWalk).localCheckpoint(true)
     var iterations = 0
     var converged = false
     while (!converged) {
-      val perS = state
-        .select(explode(col("sids")).as("sid"), struct(col("tau"), col("rid")).as("m"))
-        .repartition(p, col("sid")).groupBy("sid").agg(sort_array(collect_list(col("m"))).as("ms"))
-      val rho = perS
-        .select(col("sid"), element_at(col("ms"), 1).as("a"), element_at(col("ms"), 2).as("b"),
-                explode(col("ms")).as("m"))
-        .select(col("sid"), col("m.rid").as("rid"), col("m.tau").as("prev"),
-                when(col("m.rid") === col("a.rid"), col("b.tau")).otherwise(col("a.tau")).as("rho"))
+      val slots = state.flatMap(r => r.sids.iterator.map(Slot(_, r.rid, r.tau)))
       val changes = Observation()
-      state = rho.repartition(p, col("rid")).groupBy("rid")
-        .agg(hIndex(collect_list(col("rho"))).as("tau"), collect_list(col("sid")).as("sids"),
-             min(col("prev")).as("prev"))
+      state = walk(walk(slots, "sid", "tau")(rhoWalk), "rid")(tauWalk)
         .observe(changes, count_if(col("tau") =!= col("prev")).as("changed"))
-        .select(col("rid"), col("tau"), col("sids"))
         .localCheckpoint(true)
       val changed = changes.get("changed").asInstanceOf[Long]
       if (onPass != null) onPass(iterations + 1, changed)
@@ -96,7 +145,7 @@ object SndSpark {
       else iterations += 1
     }
     val kappa = spark.range(numR).select(col("id").as("rid"))
-      .join(state, Seq("rid"), "left")
+      .join(state.select(col("rid"), col("tau")), Seq("rid"), "left")
       .select(col("rid"), coalesce(col("tau"), lit(0)).as("kappa"))
     (kappa, iterations)
   }

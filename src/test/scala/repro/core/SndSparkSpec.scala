@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.functions.col
 import org.scalacheck.{Gen, Prop, Test}
 import repro.SparkSpec
 import repro.testutil.TestGraphs
@@ -68,19 +67,60 @@ class SndSparkSpec extends SparkSpec {
     }
   }
 
-  test("Catalyst h-index equals HIndex.naive (ScalaCheck)") {
-    import spark.implicits._
-    // The fixed lists pin the empty list, ties and values above the list
-    // length; each random batch holds 200 lists up to 12 long, values 0–15.
-    val list = Gen.choose(0, 12).flatMap(Gen.listOfN(_, Gen.choose(0, 15)))
-    val fixed = Seq(Nil, List(0), List(5), List(2, 2, 2), List(100, 100, 100), List(3, 3, 1, 1))
-    val prop = Prop.forAll(Gen.listOfN(200, list)) { batch =>
-      val xss = fixed ++ batch
-      val got = xss.toDF("xs").select(SndSpark.hIndex(col("xs"))).as[Int].collect().toSeq
-      got == xss.map(HIndex.naive)
+  test("pass walks equal min-of-the-others and HIndex.naive (ScalaCheck)") {
+    import SndSpark.{RClique, Rho, Slot}
+    // Per-s-clique walk: each batch holds 200 s-cliques of 2–4 members with
+    // τ in 0–3, so ties are common; rows come sorted by (sid, tau), as the
+    // pass sorts them.
+    val group = Gen.choose(2, 4).flatMap(Gen.listOfN(_, Gen.choose(0, 3)))
+    val rhoProp = Prop.forAll(Gen.listOfN(200, group)) { taus =>
+      val slots = for ((ts, sid) <- taus.zipWithIndex; (t, k) <- ts.zipWithIndex)
+        yield Slot(sid.toLong, sid * 10L + k, t)
+      val expected = slots.map { m =>
+        Rho(m.rid, m.sid, slots.filter(o => o.sid == m.sid && o.rid != m.rid).map(_.tau).min, m.tau)
+      }
+      val sorted = slots.sortBy(m => (m.sid, m.tau))
+      SndSpark.rhoWalk(sorted.iterator).toSeq.sortBy(_.rid) == expected.sortBy(_.rid)
     }
-    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(10), prop)
-    assert(res.passed, res.status.toString)
+    // Per-r-clique walk: the fixed lists pin ties and values above the list
+    // length; each random batch holds 200 r-cliques of 1–12 ρ's in 0–15,
+    // with sids drawn from 0–5 (repeats kept) and a prev in 0–15.
+    val list = Gen.choose(1, 12).flatMap(Gen.listOfN(_, Gen.choose(0, 15)))
+    val fixed = Seq(List(0), List(5), List(2, 2, 2), List(100, 100, 100), List(3, 3, 1, 1))
+    val rclique = for (rhos <- list; sids <- Gen.listOfN(rhos.size, Gen.choose(0L, 5L)); prev <- Gen.choose(0, 15))
+      yield (rhos, sids, prev)
+    val tauProp = Prop.forAll(Gen.listOfN(200, rclique)) { batch =>
+      val groups = fixed.map(xs => (xs, xs.indices.map(_.toLong).toList, 7)) ++ batch
+      val rows = for (((rhos, sids, prev), rid) <- groups.zipWithIndex; (x, sid) <- rhos.zip(sids))
+        yield Rho(rid.toLong, sid, x, prev)
+      val got = SndSpark.tauWalk(rows.iterator).toSeq
+      got.map(r => (r.rid, r.tau, r.sids.toSeq.sorted, r.prev)) == groups.zipWithIndex.map {
+        case ((rhos, sids, prev), rid) => (rid.toLong, HIndex.naive(rhos), sids.sorted, prev)
+      }
+    }
+    for (prop <- Seq(rhoProp, tauProp)) {
+      val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(10), prop)
+      assert(res.passed, res.status.toString)
+    }
+  }
+
+  test("an s-clique with fewer than 2 members fails loudly, naming its sid") {
+    import spark.implicits._
+    val membership = Seq((0L, 0L), (0L, 1L), (1L, 1L)).toDF("sid", "rid")
+    val e = intercept[Exception](SndSpark.decompose(spark, membership, 2))
+    val causes = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).toSeq
+    assert(causes.exists(c => c.isInstanceOf[IllegalArgumentException] && c.getMessage.contains("s-clique 1 ")),
+           causes.map(_.toString).mkString("; "))
+  }
+
+  test("hub r-clique: the star K(1,3000) as (1,2) gives local SND's kappa, iterations and changed counts") {
+    val h = TestGraphs.hypergraph(Array.tabulate(3000)(i => (0, i + 1)), 1, 2)
+    val snaps = scala.collection.mutable.ArrayBuffer.empty[Array[Int]]
+    val local = Snd.decompose(h, onIteration = (_, t) => snaps += t.clone())
+    val expected = snaps.zip(snaps.tail).map { case (a, b) => a.indices.count(i => a(i) != b(i)).toLong }.toSeq
+    val changed = scala.collection.mutable.ArrayBuffer.empty[Long]
+    val (kappa, iters) = run(h, onPass = (_, c) => changed += c)
+    assert(kappa == local.kappa.toSeq && iters == local.iterations && changed == expected)
   }
 
   test("dataflow SND equals local SND on a power-law graph, all (r,s)") {
