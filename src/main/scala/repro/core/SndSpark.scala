@@ -1,47 +1,60 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Dataset, Encoder, Observation, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.Partitioner
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions.col
+import org.apache.spark.storage.StorageLevel
+import scala.collection.mutable.ArrayBuilder
 
 /** Pure-dataflow SND: the update operator 𝒰 iterated to a fixpoint as
-  * Spark shuffles and per-partition walks — "Pregel-style iterative
-  * message passing", one message round (r-clique → s-clique → r-clique)
-  * per pass, each pass one superstep.
+  * Pregel-style supersteps, one message round (r-clique → s-clique →
+  * r-clique) per pass, over a membership that stays resident in its
+  * partitions and is routed once.
   *
-  * The state is one Dataset keyed by r-clique, [[RClique]] (rid, tau, sids,
-  * prev): the ids of the s-cliques an r-clique belongs to travel with it, so
-  * the membership is never joined again. One pass is two shuffles, each an
-  * explicit `repartition(P, key)` sorted within its partitions, walked by
-  * plain code and no aggregation:
+  * Partition q of P (the session's `defaultParallelism`, one task per core)
+  * holds the r-cliques with rid mod P = q, r-clique rid at local index
+  * rid / P, and the s-cliques with sid mod P = q. Each side is a [[Side]]: a
+  * CSR of its rows' slots, slot j carrying the address of its partner slot
+  * on the other side (index k of partition q' is the address k·P + q', so a
+  * plain `mod P` routes it). The set-up sorts the membership by rid, then by
+  * sid (so it can spill), builds both CSRs and exchanges the addresses; τ₀ =
+  * d_s is an r-clique's slot count. Every pass then ships values only:
   * {{{
-  *   explode sids to (sid, rid, τ), sorted by (sid, τ)        [[rhoWalk]]
-  *   ρ(S,R) = τ of S's first row, or of its second if R is the first
-  *   (rid, sid, ρ, prev), sorted by rid                       [[tauWalk]]
-  *   τ'(R)  = H({ρ(S,R) : S ∋ R}) by HIndexScratch
+  *   r-side: each slot sends (address, τ of its r-clique)     partitionBy, no sort
+  *   s-side: scatter τ; each member reads ρ = the least τ of
+  *           the others [[leastOfOthers]] and sends (address, ρ)  partitionBy, no sort
+  *   r-side: scatter ρ; τ' = H of each row's ρ's               [[hIndexes]]
   * }}}
-  * Each walk streams one group (one s-clique, one r-clique) at a time, so
-  * a task holds one group and the sort below it can spill. τ₀ = d_s is the
-  * per-r-clique walk over the membership with every ρ = `Int.MaxValue`: H of
-  * d values that are all ≥ d is d. The changed count is an [[Observation]]
-  * on the pass, filled by the same job that runs the eager localCheckpoint
-  * (which truncates lineage, so unbounded iteration stays stable under
-  * Spark); no pass runs a separate count.
+  * The new [[State]] shares the r-side's routes and holds a new τ and its
+  * changed count. Each pass is one job: the state is locally checkpointed
+  * (truncating lineage, so unbounded iteration stays stable) and
+  * materialized by the `reduce` of the changed counts; the superseded state
+  * is then unpersisted. Both shuffles move (Long, Int) pairs, which Spark
+  * serializes with Kryo.
   *
-  * P is the session's `defaultParallelism`, one task per core: adaptive
-  * query execution leaves a repartition given a count alone, where it
-  * would merge these small shuffles into fewer tasks than cores (2–4 on 4
-  * cores), and a stage lasts as long as its slowest task.
+  * The sides are resident arrays: cached `MEMORY_AND_DISK` blocks, as the
+  * checkpointed state is, so a pass holds a whole partition in memory and no
+  * pass streams a spillable sort. Ids and array indices are 32-bit: sids and
+  * rids must lie in 0..Int.MaxValue, and every rid below numR.
   */
 object SndSpark {
 
-  /** An r-clique after a pass: its τ, its s-cliques' ids, its τ before. */
-  private[core] final case class RClique(rid: Long, tau: Int, sids: Array[Long], prev: Int)
+  /** One side of the membership in one partition: row i's slots are
+    * start(i) until start(i+1), and slot j is routed to address to(j) on
+    * the other side.
+    */
+  private final class Side(val start: Array[Int], val to: Array[Long]) extends Serializable
 
-  /** Member ``rid`` of s-clique ``sid``, with its τ. */
-  private[core] final case class Slot(sid: Long, rid: Long, tau: Int)
+  /** The r-side after a pass: its routes, τ by local index, and how many
+    * τ the pass changed.
+    */
+  private final class State(val r: Side, val tau: Array[Int], val changed: Long) extends Serializable
 
-  /** ρ(sid, rid) for the r-clique ``rid``, whose τ is ``prev``. */
-  private[core] final case class Rho(rid: Long, sid: Long, rho: Int, prev: Int)
+  /** Routes a key (an id or an address) to partition key mod P. */
+  private final class ModPartitioner(p: Int) extends Partitioner {
+    def numPartitions: Int = p
+    def getPartition(key: Any): Int = (key.asInstanceOf[Long] % p).toInt
+  }
 
   /** Membership DataFrame (sid, rid) of a local [[Hypergraph]], for tests
     * and jobs that want to drive the dataflow engine from the same input:
@@ -57,55 +70,58 @@ object SndSpark {
       .toDF("sid", "rid")
   }
 
-  /** The per-s-clique walk over slots sorted by (sid, tau): an s-clique's
-    * first row holds its least τ and its second row the next, so every
-    * member reads the least τ of the *other* members, ties included, from
-    * those two alone.
-    *
-    * @throws IllegalArgumentException on an s-clique with fewer than 2 members
+  /** The s-side kernel: turns each member's τ in ``v`` into the least τ of
+    * the row's *other* members, ties included, from the row's least value,
+    * where it sits, and its second least. Every row has ≥ 2 slots.
     */
-  private[core] def rhoWalk(slots: Iterator[Slot]): Iterator[Rho] = {
-    val in = slots.buffered
-    var started = false
-    var sid = 0L
-    var least = 0
-    in.map { m =>
-      if (started && m.sid == sid) Rho(m.rid, m.sid, least, m.tau)
-      else {
-        if (!in.hasNext || in.head.sid != m.sid)
-          throw new IllegalArgumentException(s"SndSpark: s-clique ${m.sid} has fewer than 2 members")
-        started = true
-        sid = m.sid
-        least = m.tau
-        Rho(m.rid, m.sid, in.head.tau, m.tau)
+  private[core] def leastOfOthers(start: Array[Int], v: Array[Int]): Unit = {
+    var i = 0
+    while (i + 1 < start.length) {
+      var at = start(i)
+      var second = Int.MaxValue
+      var k = at + 1
+      while (k < start(i + 1)) {
+        if (v(k) < v(at)) { second = v(at); at = k }
+        else if (v(k) < second) second = v(k)
+        k += 1
       }
+      val least = v(at)
+      k = start(i)
+      while (k < start(i + 1)) { v(k) = if (k == at) second else least; k += 1 }
+      i += 1
     }
   }
 
-  /** The per-r-clique walk over rows sorted by rid: each r-clique's τ′ is
-    * H of its ρ's, its sids are kept and its τ before the pass is carried.
-    */
-  private[core] def tauWalk(rows: Iterator[Rho]): Iterator[RClique] = {
-    val in = rows.buffered
-    var h = new HIndexScratch(16)
-    var sids = new Array[Long](16)
-    in.map { first =>
-      var n = 0
-      var x = first
-      while (x != null) {
-        if (n == h.capacity) {
-          val grown = new HIndexScratch(2 * n)
-          System.arraycopy(h.vals, 0, grown.vals, 0, n)
-          h = grown
-          sids = java.util.Arrays.copyOf(sids, 2 * n)
-        }
-        h.vals(n) = x.rho
-        sids(n) = x.sid
-        n += 1
-        x = if (in.hasNext && in.head.rid == first.rid) in.next() else null
-      }
-      RClique(first.rid, h.hIndex(n), java.util.Arrays.copyOf(sids, n), first.prev)
+  /** The r-side kernel: H of each row's ρ's, by [[HIndexScratch]]. */
+  private[core] def hIndexes(start: Array[Int], rho: Array[Int]): Array[Int] = {
+    val n = start.length - 1
+    var widest = 0
+    for (i <- 0 until n) widest = math.max(widest, start(i + 1) - start(i))
+    val h = new HIndexScratch(widest)
+    Array.tabulate(n) { i =>
+      val d = start(i + 1) - start(i)
+      System.arraycopy(rho, start(i), h.vals, 0, d)
+      h.hIndex(d)
     }
+  }
+
+  /** Slot j's message (to(j), v(j)), made as it is read. */
+  private def send(to: Array[Long], v: Array[Int]): Iterator[(Long, Int)] =
+    Iterator.tabulate(to.length)(j => (to(j), v(j)))
+
+  /** Slot j of side partition q tells its partner slot to(j) its own
+    * address j·P + q.
+    */
+  private def addresses(s: Side, q: Int, p: Int): Iterator[(Long, Long)] =
+    Iterator.tabulate(s.to.length)(j => (s.to(j), j.toLong * p + q))
+
+  /** The values of ``n`` slots, each scattered to the index k of its
+    * address k·P + q.
+    */
+  private def receive(n: Int, p: Int, msgs: Iterator[(Long, Int)]): Array[Int] = {
+    val v = new Array[Int](n)
+    msgs.foreach { case (a, x) => v((a / p).toInt) = x }
+    v
   }
 
   /** Run to convergence.
@@ -118,35 +134,101 @@ object SndSpark {
     * @param onPass     optional observer called after every pass with
     *                   (pass number starting at 1, r-cliques whose τ changed)
     * @return (DataFrame (rid, kappa), iterations-with-change)
+    * @throws IllegalArgumentException naming the id: at once on numR >
+    *         Int.MaxValue; from the set-up job on a sid or rid outside
+    *         0..Int.MaxValue, a rid >= numR or an s-clique with fewer than
+    *         2 members
     */
   def decompose(spark: SparkSession, membership: DataFrame, numR: Long,
                 maxIters: Int = 1000, onPass: (Int, Long) => Unit = null): (DataFrame, Int) = {
     import spark.implicits._
+    require(numR <= Int.MaxValue, s"SndSpark: numR = $numR exceeds ${Int.MaxValue}")
     val p = spark.sparkContext.defaultParallelism
-    def walk[A, B: Encoder](ds: Dataset[A], key: String, more: String*)(f: Iterator[A] => Iterator[B]) =
-      ds.repartition(p, col(key)).sortWithinPartitions(key, more: _*).mapPartitions(f)
+    val byMod = new ModPartitioner(p)
 
-    val init = membership.select(col("rid").cast("long"), col("sid").cast("long"),
-                                 lit(Int.MaxValue).as("rho"), lit(0).as("prev")).as[Rho]
-    var state = walk(init, "rid")(tauWalk).localCheckpoint(true)
+    // Set-up, one job. The r-side CSR by rid, each slot holding its sid
+    // until the s-side returns its address.
+    val rSids = membership.select(col("sid").cast("long"), col("rid").cast("long")).rdd.map { row =>
+      val (sid, rid) = (row.getLong(0), row.getLong(1))
+      require(sid >= 0 && sid <= Int.MaxValue, s"SndSpark: sid $sid outside 0..${Int.MaxValue}")
+      require(rid >= 0 && rid <= Int.MaxValue, s"SndSpark: rid $rid outside 0..${Int.MaxValue}")
+      require(rid < numR, s"SndSpark: rid $rid is not below numR = $numR")
+      (rid, sid)
+    }.repartitionAndSortWithinPartitions(byMod).mapPartitionsWithIndex { (q, it) =>
+      val start = new Array[Int](if (q < numR) ((numR - 1 - q) / p + 2).toInt else 1)
+      val sids = ArrayBuilder.make[Long]
+      it.foreach { case (rid, sid) => start((rid / p).toInt + 1) += 1; sids += sid }
+      for (i <- 1 until start.length) start(i) += start(i - 1)
+      Iterator(new Side(start, sids.result()))
+    }.persist(StorageLevel.MEMORY_AND_DISK)
+    // The s-side CSR by sid, each member routed to its r-side slot.
+    val sSide = rSids.mapPartitionsWithIndex((q, it) => addresses(it.next(), q, p))
+      .repartitionAndSortWithinPartitions(byMod).mapPartitions { it =>
+        val in = it.buffered
+        val start = ArrayBuilder.make[Int]
+        val to = ArrayBuilder.make[Long]
+        var k = 0
+        while (in.hasNext) {
+          val (sid, first) = (in.head._1, k)
+          start += k
+          while (in.hasNext && in.head._1 == sid) { to += in.next()._2; k += 1 }
+          if (k - first < 2)
+            throw new IllegalArgumentException(s"SndSpark: s-clique $sid has fewer than 2 members")
+        }
+        start += k
+        Iterator(new Side(start.result(), to.result()))
+      }.persist(StorageLevel.MEMORY_AND_DISK)
+    // Each r-side slot learns its member's s-side address; τ₀ = d_s.
+    val back = sSide.mapPartitionsWithIndex((q, it) => addresses(it.next(), q, p)).partitionBy(byMod)
+    var state = rSids.zipPartitions(back) { (it, msgs) =>
+      val r = it.next()
+      val to = new Array[Long](r.to.length)
+      msgs.foreach { case (a, s) => to((a / p).toInt) = s }
+      val degrees = Array.tabulate(r.start.length - 1)(i => r.start(i + 1) - r.start(i))
+      Iterator(new State(new Side(r.start, to), degrees, 0))
+    }.localCheckpoint()
     var iterations = 0
-    var converged = false
-    while (!converged) {
-      val slots = state.flatMap(r => r.sids.iterator.map(Slot(_, r.rid, r.tau)))
-      val changes = Observation()
-      state = walk(walk(slots, "sid", "tau")(rhoWalk), "rid")(tauWalk)
-        .observe(changes, count_if(col("tau") =!= col("prev")).as("changed"))
-        .localCheckpoint(true)
-      val changed = changes.get("changed").asInstanceOf[Long]
-      if (onPass != null) onPass(iterations + 1, changed)
-      if (changed == 0) converged = true
-      else if (iterations == maxIters)
-        throw new IllegalStateException(s"SndSpark: no fixpoint within maxIters = $maxIters iterations")
-      else iterations += 1
+    try {
+      state.count()
+      rSids.unpersist()
+      var converged = false
+      while (!converged) {
+        val taus = state.mapPartitions { it =>
+          val s = it.next()
+          val v = new Array[Int](s.r.to.length)
+          for (i <- s.tau.indices) java.util.Arrays.fill(v, s.r.start(i), s.r.start(i + 1), s.tau(i))
+          send(s.r.to, v)
+        }.partitionBy(byMod)
+        val rhos = sSide.zipPartitions(taus) { (it, msgs) =>
+          val s = it.next()
+          val v = receive(s.to.length, p, msgs)
+          leastOfOthers(s.start, v)
+          send(s.to, v)
+        }.partitionBy(byMod)
+        val next = state.zipPartitions(rhos) { (it, msgs) =>
+          val s = it.next()
+          val tau = hIndexes(s.r.start, receive(s.r.to.length, p, msgs))
+          Iterator(new State(s.r, tau, tau.indices.count(i => tau(i) != s.tau(i))))
+        }.localCheckpoint()
+        val changed = next.map(_.changed).reduce(_ + _)
+        state.unpersist()
+        state = next
+        if (onPass != null) onPass(iterations + 1, changed)
+        if (changed == 0) converged = true
+        else if (iterations == maxIters)
+          throw new IllegalStateException(s"SndSpark: no fixpoint within maxIters = $maxIters iterations")
+        else iterations += 1
+      }
+    } catch {
+      case e: Throwable => state.unpersist(); throw e
+    } finally {
+      rSids.unpersist()
+      sSide.unpersist()
     }
-    val kappa = spark.range(numR).select(col("id").as("rid"))
-      .join(state.select(col("rid"), col("tau")), Seq("rid"), "left")
-      .select(col("rid"), coalesce(col("tau"), lit(0)).as("kappa"))
+    val kappa = state.mapPartitionsWithIndex { (q, it) =>
+      val s = it.next()
+      Iterator.tabulate(s.tau.length)(i => (i.toLong * p + q, s.tau(i)))
+    }.toDF("rid", "kappa")
     (kappa, iterations)
   }
 }

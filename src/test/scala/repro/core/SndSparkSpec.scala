@@ -67,36 +67,24 @@ class SndSparkSpec extends SparkSpec {
     }
   }
 
-  test("pass walks equal min-of-the-others and HIndex.naive (ScalaCheck)") {
-    import SndSpark.{RClique, Rho, Slot}
-    // Per-s-clique walk: each batch holds 200 s-cliques of 2–4 members with
-    // τ in 0–3, so ties are common; rows come sorted by (sid, tau), as the
-    // pass sorts them.
+  test("pass kernels equal min-of-the-others and HIndex.naive (ScalaCheck)") {
+    // The rows of a CSR from the list lengths.
+    def offsets(rows: Seq[Seq[Int]]): Array[Int] = rows.scanLeft(0)(_ + _.size).toArray
+    // s-side kernel: each batch holds 200 s-cliques of 2–4 members with τ in
+    // 0–3, so ties are common.
     val group = Gen.choose(2, 4).flatMap(Gen.listOfN(_, Gen.choose(0, 3)))
     val rhoProp = Prop.forAll(Gen.listOfN(200, group)) { taus =>
-      val slots = for ((ts, sid) <- taus.zipWithIndex; (t, k) <- ts.zipWithIndex)
-        yield Slot(sid.toLong, sid * 10L + k, t)
-      val expected = slots.map { m =>
-        Rho(m.rid, m.sid, slots.filter(o => o.sid == m.sid && o.rid != m.rid).map(_.tau).min, m.tau)
-      }
-      val sorted = slots.sortBy(m => (m.sid, m.tau))
-      SndSpark.rhoWalk(sorted.iterator).toSeq.sortBy(_.rid) == expected.sortBy(_.rid)
+      val v = taus.flatten.toArray
+      SndSpark.leastOfOthers(offsets(taus), v)
+      v.toSeq == taus.flatMap(ts => ts.indices.map(k => ts.patch(k, Nil, 1).min))
     }
-    // Per-r-clique walk: the fixed lists pin ties and values above the list
-    // length; each random batch holds 200 r-cliques of 1–12 ρ's in 0–15,
-    // with sids drawn from 0–5 (repeats kept) and a prev in 0–15.
+    // r-side kernel: the fixed lists pin no slots, ties and values above the
+    // list length; each random batch holds 200 r-cliques of 1–12 ρ's in 0–15.
     val list = Gen.choose(1, 12).flatMap(Gen.listOfN(_, Gen.choose(0, 15)))
-    val fixed = Seq(List(0), List(5), List(2, 2, 2), List(100, 100, 100), List(3, 3, 1, 1))
-    val rclique = for (rhos <- list; sids <- Gen.listOfN(rhos.size, Gen.choose(0L, 5L)); prev <- Gen.choose(0, 15))
-      yield (rhos, sids, prev)
-    val tauProp = Prop.forAll(Gen.listOfN(200, rclique)) { batch =>
-      val groups = fixed.map(xs => (xs, xs.indices.map(_.toLong).toList, 7)) ++ batch
-      val rows = for (((rhos, sids, prev), rid) <- groups.zipWithIndex; (x, sid) <- rhos.zip(sids))
-        yield Rho(rid.toLong, sid, x, prev)
-      val got = SndSpark.tauWalk(rows.iterator).toSeq
-      got.map(r => (r.rid, r.tau, r.sids.toSeq.sorted, r.prev)) == groups.zipWithIndex.map {
-        case ((rhos, sids, prev), rid) => (rid.toLong, HIndex.naive(rhos), sids.sorted, prev)
-      }
+    val fixed = Seq(List(), List(0), List(5), List(2, 2, 2), List(100, 100, 100), List(3, 3, 1, 1))
+    val tauProp = Prop.forAll(Gen.listOfN(200, list)) { batch =>
+      val rows = fixed ++ batch
+      SndSpark.hIndexes(offsets(rows), rows.flatten.toArray).toSeq == rows.map(HIndex.naive)
     }
     for (prop <- Seq(rhoProp, tauProp)) {
       val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(10), prop)
@@ -163,5 +151,65 @@ class SndSparkSpec extends SparkSpec {
         assert(changed == expected, s"(r,s)=($r,$s) $layout changed counts")
       }
     }
+  }
+
+  /** The causes of ``e``, outermost first. */
+  private def causes(e: Throwable): Seq[Throwable] =
+    Iterator.iterate(e)(_.getCause).takeWhile(_ != null).toSeq
+
+  test("ids past the 32-bit address limits fail loudly, naming the id") {
+    import spark.implicits._
+    val big = Int.MaxValue + 1L
+    for ((rows, numR, named) <- Seq(
+           (Seq((-1L, 0L), (-1L, 1L)), 2L, "sid -1 "),
+           (Seq((big, 0L), (big, 1L)), 2L, s"sid $big "),
+           (Seq((0L, -1L), (0L, 1L)), 2L, "rid -1 "),
+           (Seq((0L, 0L), (0L, big)), big - 1, s"rid $big "),
+           (Seq((0L, 0L), (0L, 5L)), 3L, "rid 5 is not below numR = 3"))) {
+      val e = intercept[Exception](SndSpark.decompose(spark, rows.toDF("sid", "rid"), numR))
+      assert(causes(e).exists(c => c.isInstanceOf[IllegalArgumentException] && c.getMessage.contains(named)),
+             causes(e).map(_.toString).mkString("; "))
+    }
+    val e = intercept[IllegalArgumentException](
+      SndSpark.decompose(spark, Seq((0L, 0L), (0L, 1L)).toDF("sid", "rid"), big))
+    assert(e.getMessage.contains(s"numR = $big"))
+  }
+
+  test("superseded passes are unpersisted: a run of 10+ passes leaves at most one persistent RDD") {
+    val h = TestGraphs.hypergraph(Array.tabulate(29)(i => (i, i + 1)), 1, 2)
+    val before = spark.sparkContext.getPersistentRDDs.keySet
+    val (kappa, iters) = run(h)
+    val left = spark.sparkContext.getPersistentRDDs.keySet -- before
+    assert(kappa == Seq.fill(30)(1) && iters >= 10, s"iters=$iters")
+    assert(left.size <= 1, s"$left left persistent after ${iters + 1} passes")
+  }
+
+  test("one job per pass: a decompose and its collect run at most passes + 3 jobs") {
+    import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+    val sc = spark.sparkContext
+    val m = TestGraphs.materialize(TestGraphs.powerLaw(300, 3000, 0.45, 8, 8, seed = 3))
+    val h = NucleusBuilder.hypergraph(m, 1, 2)
+    val jobs = new java.util.concurrent.ConcurrentHashMap[String, Integer]()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = {
+        val g = Option(e.properties).map(_.getProperty("spark.jobGroup.id")).orNull
+        if (g != null) jobs.merge(g, 1, (a, b) => a + b)
+      }
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup("snd", "decompose")
+      val (kappa, iters) = try run(h) finally sc.clearJobGroup()
+      assert(kappa == Snd.decompose(h).kappa.toSeq)
+      // Listener events arrive in order: once the marker job is seen, so
+      // are all of the run's.
+      sc.setJobGroup("marker", "marker")
+      try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
+      val deadline = System.nanoTime() + 30L * 1000000000L
+      while (!jobs.containsKey("marker") && System.nanoTime() < deadline) Thread.sleep(2)
+      val passes = iters + 1
+      assert(jobs.containsKey("marker") && passes >= 5 && jobs.get("snd") <= passes + 3,
+             s"${jobs.get("snd")} jobs for $passes passes")
+    } finally sc.removeSparkListener(listener)
   }
 }
