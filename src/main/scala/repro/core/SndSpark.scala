@@ -14,16 +14,20 @@ import scala.collection.mutable.ArrayBuilder
   * Partition q of P (the session's `defaultParallelism`, one task per core)
   * holds the r-cliques with rid mod P = q, r-clique rid at local index
   * rid / P, and the s-cliques with sid mod P = q. Each side is a [[Side]]: a
-  * CSR of its rows' slots, slot j carrying the address of its partner slot
-  * on the other side (index k of partition q' is the address k·P + q', so a
-  * plain `mod P` routes it). The set-up sorts the membership by rid, then by
-  * sid (so it can spill), builds both CSRs and exchanges the addresses; τ₀ =
-  * d_s is an r-clique's slot count. Every pass then ships values only:
+  * CSR of its rows' slots. An s-side slot holds its member's rid; an r-side
+  * slot holds the address of its s-side slot (index k of partition q' is the
+  * address k·P + q'), so a plain `mod P` routes rids and addresses alike.
+  * Slots are addressed only where the kernel needs them: [[leastOfOthers]]
+  * needs each τ at its own s-slot, while H is order-free, so ρ is sent to
+  * its rid and a per-row cursor places it [[receiveRows]]. The set-up sorts
+  * the membership by sid into the s-side CSR, and each s-slot's address,
+  * sorted by rid, into the r-side CSR (both sorts can spill); τ₀ = d_s is an
+  * r-clique's slot count. Every pass then ships values only:
   * {{{
   *   r-side: each slot sends (address, τ of its r-clique)     partitionBy, no sort
   *   s-side: scatter τ; each member reads ρ = the least τ of
-  *           the others [[leastOfOthers]] and sends (address, ρ)  partitionBy, no sort
-  *   r-side: scatter ρ; τ' = H of each row's ρ's               [[hIndexes]]
+  *           the others [[leastOfOthers]] and sends (rid, ρ)  partitionBy, no sort
+  *   r-side: place ρ in its row; τ' = H of each row's ρ's      [[hIndexes]]
   * }}}
   * The new [[State]] shares the r-side's routes and holds a new τ and its
   * changed count. Each pass is one job: the state is locally checkpointed
@@ -40,8 +44,8 @@ import scala.collection.mutable.ArrayBuilder
 object SndSpark {
 
   /** One side of the membership in one partition: row i's slots are
-    * start(i) until start(i+1), and slot j is routed to address to(j) on
-    * the other side.
+    * start(i) until start(i+1), and slot j sends to key to(j) on the other
+    * side (an s-slot to its member's rid, an r-slot to its s-slot's address).
     */
   private final class Side(val start: Array[Int], val to: Array[Long]) extends Serializable
 
@@ -57,7 +61,7 @@ object SndSpark {
   }
 
   /** Membership DataFrame (sid, rid) of a local [[Hypergraph]], for tests
-    * and jobs that want to drive the dataflow engine from the same input:
+    * and benchmarks that want to drive the dataflow engine from the same input:
     * row i of `spark.range` is member i of `h.members`, read from one
     * broadcast of the array, so no row is built on the driver.
     */
@@ -109,9 +113,7 @@ object SndSpark {
   private def send(to: Array[Long], v: Array[Int]): Iterator[(Long, Int)] =
     Iterator.tabulate(to.length)(j => (to(j), v(j)))
 
-  /** Slot j of side partition q tells its partner slot to(j) its own
-    * address j·P + q.
-    */
+  /** Slot j of side partition q sends its own address j·P + q to to(j). */
   private def addresses(s: Side, q: Int, p: Int): Iterator[(Long, Long)] =
     Iterator.tabulate(s.to.length)(j => (s.to(j), j.toLong * p + q))
 
@@ -121,6 +123,16 @@ object SndSpark {
   private def receive(n: Int, p: Int, msgs: Iterator[(Long, Int)]): Array[Int] = {
     val v = new Array[Int](n)
     msgs.foreach { case (a, x) => v((a / p).toInt) = x }
+    v
+  }
+
+  /** The values of the rows of CSR ``start``, each message (rid, x) placed
+    * at the next free slot of row rid / P, in the order the messages come.
+    */
+  private[core] def receiveRows(start: Array[Int], p: Int, msgs: Iterator[(Long, Int)]): Array[Int] = {
+    val free = java.util.Arrays.copyOf(start, start.length - 1)
+    val v = new Array[Int](start.last)
+    msgs.foreach { case (rid, x) => val i = (rid / p).toInt; v(free(i)) = x; free(i) += 1 }
     v
   }
 
@@ -146,51 +158,43 @@ object SndSpark {
     val p = spark.sparkContext.defaultParallelism
     val byMod = new ModPartitioner(p)
 
-    // Set-up, one job. The r-side CSR by rid, each slot holding its sid
-    // until the s-side returns its address.
-    val rSids = membership.select(col("sid").cast("long"), col("rid").cast("long")).rdd.map { row =>
+    // Set-up, one job. The s-side CSR by sid, each slot holding its
+    // member's rid.
+    val sSide = membership.select(col("sid").cast("long"), col("rid").cast("long")).rdd.map { row =>
       val (sid, rid) = (row.getLong(0), row.getLong(1))
       require(sid >= 0 && sid <= Int.MaxValue, s"SndSpark: sid $sid outside 0..${Int.MaxValue}")
       require(rid >= 0 && rid <= Int.MaxValue, s"SndSpark: rid $rid outside 0..${Int.MaxValue}")
       require(rid < numR, s"SndSpark: rid $rid is not below numR = $numR")
-      (rid, sid)
-    }.repartitionAndSortWithinPartitions(byMod).mapPartitionsWithIndex { (q, it) =>
-      val start = new Array[Int](if (q < numR) ((numR - 1 - q) / p + 2).toInt else 1)
-      val sids = ArrayBuilder.make[Long]
-      it.foreach { case (rid, sid) => start((rid / p).toInt + 1) += 1; sids += sid }
-      for (i <- 1 until start.length) start(i) += start(i - 1)
-      Iterator(new Side(start, sids.result()))
-    }.persist(StorageLevel.MEMORY_AND_DISK)
-    // The s-side CSR by sid, each member routed to its r-side slot.
-    val sSide = rSids.mapPartitionsWithIndex((q, it) => addresses(it.next(), q, p))
-      .repartitionAndSortWithinPartitions(byMod).mapPartitions { it =>
-        val in = it.buffered
-        val start = ArrayBuilder.make[Int]
-        val to = ArrayBuilder.make[Long]
-        var k = 0
-        while (in.hasNext) {
-          val (sid, first) = (in.head._1, k)
-          start += k
-          while (in.hasNext && in.head._1 == sid) { to += in.next()._2; k += 1 }
-          if (k - first < 2)
-            throw new IllegalArgumentException(s"SndSpark: s-clique $sid has fewer than 2 members")
-        }
+      (sid, rid)
+    }.repartitionAndSortWithinPartitions(byMod).mapPartitions { it =>
+      val in = it.buffered
+      val start = ArrayBuilder.make[Int]
+      val rids = ArrayBuilder.make[Long]
+      var k = 0
+      while (in.hasNext) {
+        val (sid, first) = (in.head._1, k)
         start += k
-        Iterator(new Side(start.result(), to.result()))
-      }.persist(StorageLevel.MEMORY_AND_DISK)
-    // Each r-side slot learns its member's s-side address; τ₀ = d_s.
-    val back = sSide.mapPartitionsWithIndex((q, it) => addresses(it.next(), q, p)).partitionBy(byMod)
-    var state = rSids.zipPartitions(back) { (it, msgs) =>
-      val r = it.next()
-      val to = new Array[Long](r.to.length)
-      msgs.foreach { case (a, s) => to((a / p).toInt) = s }
-      val degrees = Array.tabulate(r.start.length - 1)(i => r.start(i + 1) - r.start(i))
-      Iterator(new State(new Side(r.start, to), degrees, 0))
-    }.localCheckpoint()
+        while (in.hasNext && in.head._1 == sid) { rids += in.next()._2; k += 1 }
+        if (k - first < 2)
+          throw new IllegalArgumentException(s"SndSpark: s-clique $sid has fewer than 2 members")
+      }
+      start += k
+      Iterator(new Side(start.result(), rids.result()))
+    }.persist(StorageLevel.MEMORY_AND_DISK)
+    // Each s-slot sends its address to its rid: sorted by rid, the r-side
+    // CSR, each slot holding its s-slot's address; τ₀ = d_s.
+    var state = sSide.mapPartitionsWithIndex((q, it) => addresses(it.next(), q, p))
+      .repartitionAndSortWithinPartitions(byMod).mapPartitionsWithIndex { (q, it) =>
+        val start = new Array[Int](if (q < numR) ((numR - 1 - q) / p + 2).toInt else 1)
+        val to = ArrayBuilder.make[Long]
+        it.foreach { case (rid, a) => start((rid / p).toInt + 1) += 1; to += a }
+        for (i <- 1 until start.length) start(i) += start(i - 1)
+        val degrees = Array.tabulate(start.length - 1)(i => start(i + 1) - start(i))
+        Iterator(new State(new Side(start, to.result()), degrees, 0))
+      }.localCheckpoint()
     var iterations = 0
     try {
       state.count()
-      rSids.unpersist()
       var converged = false
       while (!converged) {
         val taus = state.mapPartitions { it =>
@@ -207,10 +211,15 @@ object SndSpark {
         }.partitionBy(byMod)
         val next = state.zipPartitions(rhos) { (it, msgs) =>
           val s = it.next()
-          val tau = hIndexes(s.r.start, receive(s.r.to.length, p, msgs))
+          val tau = hIndexes(s.r.start, receiveRows(s.r.start, p, msgs))
           Iterator(new State(s.r, tau, tau.indices.count(i => tau(i) != s.tau(i))))
         }.localCheckpoint()
         val changed = next.map(_.changed).reduce(_ + _)
+        // Spark logs one WARN here per pass, as it does for every locally
+        // checkpointed RDD it unpersists. That is expected: a reliable
+        // checkpoint would need a checkpoint directory, and keeping the
+        // superseded state would grow the cache by one state a pass
+        // (SndSparkSpec allows one persistent RDD after a run).
         state.unpersist()
         state = next
         if (onPass != null) onPass(iterations + 1, changed)
@@ -221,10 +230,7 @@ object SndSpark {
       }
     } catch {
       case e: Throwable => state.unpersist(); throw e
-    } finally {
-      rSids.unpersist()
-      sSide.unpersist()
-    }
+    } finally sSide.unpersist()
     val kappa = state.mapPartitionsWithIndex { (q, it) =>
       val s = it.next()
       Iterator.tabulate(s.tau.length)(i => (i.toLong * p + q, s.tau(i)))

@@ -86,7 +86,17 @@ class SndSparkSpec extends SparkSpec {
       val rows = fixed ++ batch
       SndSpark.hIndexes(offsets(rows), rows.flatten.toArray).toSeq == rows.map(HIndex.naive)
     }
-    for (prop <- Seq(rhoProp, tauProp)) {
+    // r-side placement: row i of partition q of P is rid i·P + q, and its
+    // ρ's arrive keyed by rid in a shuffled order.
+    val placed = for { batch <- Gen.listOfN(200, list); p <- Gen.choose(1, 8); q <- Gen.choose(0, p - 1)
+                       seed <- Gen.long } yield (fixed ++ batch, p, q, seed)
+    val placeProp = Prop.forAll(placed) { case (rows, p, q, seed) =>
+      val msgs = for ((row, i) <- rows.zipWithIndex; rho <- row) yield (i.toLong * p + q, rho)
+      val start = offsets(rows)
+      val rho = SndSpark.receiveRows(start, p, new scala.util.Random(seed).shuffle(msgs).iterator)
+      SndSpark.hIndexes(start, rho).toSeq == rows.map(HIndex.naive)
+    }
+    for (prop <- Seq(rhoProp, tauProp, placeProp)) {
       val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(10), prop)
       assert(res.passed, res.status.toString)
     }
@@ -185,16 +195,22 @@ class SndSparkSpec extends SparkSpec {
   }
 
   test("one job per pass: a decompose and its collect run at most passes + 3 jobs") {
-    import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+    import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
     val sc = spark.sparkContext
     val m = TestGraphs.materialize(TestGraphs.powerLaw(300, 3000, 0.45, 8, 8, seed = 3))
     val h = NucleusBuilder.hypergraph(m, 1, 2)
     val jobs = new java.util.concurrent.ConcurrentHashMap[String, Integer]()
+    // The stages of the run's jobs, and those of them that ran shuffle-map
+    // tasks (a skipped stage runs none).
+    val stages, shuffleStages = java.util.concurrent.ConcurrentHashMap.newKeySet[Int]()
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit = {
         val g = Option(e.properties).map(_.getProperty("spark.jobGroup.id")).orNull
         if (g != null) jobs.merge(g, 1, (a, b) => a + b)
+        if (g == "snd") e.stageIds.foreach(stages.add)
       }
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+        if (e.taskType == "ShuffleMapTask" && stages.contains(e.stageId)) shuffleStages.add(e.stageId)
     }
     sc.addSparkListener(listener)
     try {
@@ -210,6 +226,8 @@ class SndSparkSpec extends SparkSpec {
       val passes = iters + 1
       assert(jobs.containsKey("marker") && passes >= 5 && jobs.get("snd") <= passes + 3,
              s"${jobs.get("snd")} jobs for $passes passes")
+      // Two shuffles a pass and two in the set-up.
+      assert(shuffleStages.size <= 2 * passes + 2, s"${shuffleStages.size} shuffles for $passes passes")
     } finally sc.removeSparkListener(listener)
   }
 }
