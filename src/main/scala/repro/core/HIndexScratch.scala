@@ -1,33 +1,9 @@
 package repro.core
 
-/** The h-index function H(K) of Definition 4: the largest h such that at
-  * least h elements of K are >= h.
-  *
-  * [[naive]] is the textbook sort-based definition (reference / oracle for
-  * property tests); [[HIndexScratch]] is the linear-time counting variant of
-  * the paper's §4.3, with reusable buffers so the inner loops of SND/AND
+/** Reusable per-thread scratch for the linear-time h-index H(K) of
+  * Definition 4 (the largest h such that at least h elements of K are >= h),
+  * the counting variant of the paper's §4.3, so the inner loops of SND/AND
   * allocate nothing.
-  */
-object HIndex {
-
-  /** O(k log k) reference implementation straight from Definition 4. */
-  def naive(xs: Seq[Int]): Int = {
-    val sorted = xs.sortBy(-_)
-    var h = 0
-    var i = 0
-    while (i < sorted.length && sorted(i) >= i + 1) { h = i + 1; i += 1 }
-    h
-  }
-
-  /** One-shot linear h-index of ``values(0 until len)``. */
-  def linear(values: Array[Int], len: Int): Int = {
-    val s = new HIndexScratch(len)
-    System.arraycopy(values, 0, s.vals, 0, len)
-    s.hIndex(len)
-  }
-}
-
-/** Reusable per-thread scratch for linear-time h-index computation.
   *
   * Usage: write the multiset into ``vals(0 until len)`` then call
   * ``hIndex(len)``. The counting array is cleared incrementally (only the

@@ -7,71 +7,65 @@ import org.apache.spark.storage.StorageLevel
 import scala.collection.mutable.ArrayBuilder
 
 /** Pure-dataflow SND: the update operator 𝒰 iterated to a fixpoint as
-  * Pregel-style delta supersteps, one message round (r-clique → s-clique →
-  * r-clique) per pass in which only what changed is sent, over a membership
-  * and values that stay resident in their partitions.
+  * owner-computes supersteps over partition state that stays resident and
+  * keeps copies of the neighbours' τ (the partition state of Giraph++, Tian
+  * et al., PVLDB 7(3), 2013; the mirrors of PowerGraph, Gonzalez et al.,
+  * OSDI 2012).
   *
   * Partition q of P (the session's `defaultParallelism`, one task per core)
-  * holds one [[State]]: the r-cliques with rid mod P = q, rid at local row
-  * rid / P, and the s-cliques with sid mod P = q, sid at local row sid / P.
-  * Each side is a CSR with one slot per member; index k of partition q' is
-  * the address k·P + q', so a plain `mod P` routes rids and addresses alike.
-  * An s-slot holds its member's rid, the index of the member's r-slot, the
-  * member's τ and the last ρ it sent; an r-slot holds its s-slot's address
-  * and the last ρ it received, and the r-side keeps τ by row and the rows
-  * whose τ the last pass changed.
+  * holds one [[State]]. It *owns* the r-cliques with rid mod P = q, at local
+  * row rid / P, and keeps every s-clique with an owned member, with all of
+  * that s-clique's members. A member that another partition owns is a
+  * *ghost*: a local row holding a copy of that r-clique's τ. So an s-clique
+  * is stored in at most min(s, P) partitions.
   *
-  * A pass is local [[Snd]]'s Jacobi step, shipping deltas only:
+  * A pass is local [[Snd]]'s Jacobi step (Definition 5), shipping deltas only:
   * {{{
-  *   r-side: each r-clique whose τ changed in the previous pass
-  *           sends (s-slot address, τ) from each of its slots    partitionBy, no sort
-  *   s-side: write τ; in each touched s-clique, each member's
-  *           ρ = the least τ of the others [[leastOfOthers]];
-  *           send (r-slot address, ρ) where ρ changed            partitionBy, no sort
-  *   r-side: write ρ; τ' = H of each touched row [[hIndexes]]
+  *   map stage:    each owned r-clique whose τ changed in the previous
+  *                 pass (every one in pass 1) sends (rid·P + q', τ) once
+  *                 to each other partition q' that holds a ghost of it  partitionBy, no sort
+  *   result stage: write the ghost τ's; take H of each owned row that
+  *                 shares an s-clique with a changed r-clique [[step]]
   * }}}
-  * The set-up is one job of three unsorted shuffles, each side placed in its
-  * rows by counting: the membership goes to its sid's partition (the s-side),
-  * each s-slot sends its address to its rid (the r-side; τ₀ = d_s is a row's
-  * slot count), and each r-slot sends its index and d_s, packed in one
-  * `Long`, to its s-slot. So every s-slot holds τ₀ before pass 1, which has
-  * no τ leg and counts every s-clique as touched.
+  * The set-up is two unsorted shuffles that run in pass 1's job. The
+  * membership goes to its sid's partition, where one primitive sort of packed
+  * (sid, rid) `Long`s groups it by sid, so no array is sized by the largest
+  * sid. Then each s-clique's member list goes to each distinct partition that
+  * owns one of its members, which builds its state [[build]] (τ₀ = d_s of an
+  * owned row is its s-clique count) and caches it in the stage that sends
+  * pass 1's messages.
   *
   * Each pass is one job: the new state is locally checkpointed (truncating
   * lineage, so unbounded iteration stays stable) and materialized by the
   * `reduce` of the changed counts; the superseded state is then unpersisted.
-  * The s-side's step is a pure function of the state and the pass's τ
-  * messages, so the job's last stage repeats it to keep its values instead of
-  * persisting a second RDD per pass. Every message is a pair of primitives,
+  * Every message is a pair of a primitive and a primitive or primitive array,
   * which Spark serializes with Kryo.
   *
   * The state is resident arrays, cached `MEMORY_AND_DISK` blocks: the set-up
   * and every pass hold a whole partition in memory, and nothing streams a
-  * spillable sort. A side's rows run to its largest local index, so a gap in
-  * the sids or rids costs an empty row. Ids and array indices are 32-bit:
-  * sids and rids must lie in 0..Int.MaxValue, and every rid below numR.
+  * spillable sort. Ids and array indices are 32-bit: sids and rids must lie
+  * in 0..Int.MaxValue, and every rid below numR.
   */
 object SndSpark {
 
-  /** Partition q's s-cliques: row i is sid i·P + q, its slots start(i) until
-    * start(i+1) (none for a sid outside the membership). Slot k's member is
-    * rid(k), whose r-slot is index back(k) of partition rid(k) mod P; tau(k)
-    * is that member's τ, and rho(k) the ρ last sent to it (-1 before pass 1).
+  /** Partition q's state. Local row i < [[owned]] is rid i·P + q; row
+    * owned + g is the ghost rid ghost(g), ``ghost`` ascending. Local
+    * s-clique j has the member rows member(start(j) until start(j+1)), and
+    * row i is a member of the s-cliques in(inStart(i) until inStart(i+1)).
+    * tau(i) is row i's τ, and ``changed`` the owned rows whose τ the last
+    * pass changed (every owned row before pass 1).
     */
-  private final class SSide(val start: Array[Int], val rid: Array[Int], val back: Array[Int],
-                            val tau: Array[Int], val rho: Array[Int]) extends Serializable
+  private[core] final class State(val start: Array[Int], val member: Array[Int], val inStart: Array[Int],
+                                  val in: Array[Int], val ghost: Array[Int], val tau: Array[Int],
+                                  val changed: Array[Int]) extends Serializable {
+    def owned: Int = tau.length - ghost.length
 
-  /** Partition q's r-cliques: row i is rid i·P + q. Slot j sends to the
-    * s-slot address to(j) and holds the ρ last received there, rho(j); tau(i)
-    * is row i's τ, and `changed` the rows whose τ the last pass changed.
-    */
-  private final class RSide(val start: Array[Int], val to: Array[Long], val rho: Array[Int],
-                            val tau: Array[Int], val changed: Array[Int]) extends Serializable
+    /** Calls ``f`` on each member row of each s-clique of row i, i included. */
+    def coMembers(i: Int)(f: Int => Unit): Unit =
+      for (x <- inStart(i) until inStart(i + 1); k <- start(in(x)) until start(in(x) + 1)) f(member(k))
+  }
 
-  /** Both sides of one partition, so a pass checkpoints one RDD. */
-  private final class State(val s: SSide, val r: RSide) extends Serializable
-
-  /** Routes a key (an id or an address) to partition key mod P. */
+  /** Routes a key to partition key mod P. */
   private final class ModPartitioner(p: Int) extends Partitioner {
     def numPartitions: Int = p
     def getPartition(key: Any): Int = (key.asInstanceOf[Long] % p).toInt
@@ -103,85 +97,83 @@ object SndSpark {
     (start, slot)
   }
 
-  /** The row of CSR ``start`` that holds slot k. */
-  private def rowOf(start: Array[Int], k: Int): Int = {
-    var (lo, hi) = (0, start.length - 1) // start(lo) <= k < start(hi)
-    while (hi - lo > 1) { val mid = (lo + hi) >>> 1; if (start(mid) <= k) lo = mid else hi = mid }
-    lo
+  /** Partition q's state before pass 1, from the member rids of the
+    * s-cliques it holds: τ₀ of an owned row is its s-clique count d_s.
+    */
+  private[core] def build(p: Int, q: Int, numR: Long, cliques: Iterator[Array[Int]]): State = {
+    val lists = cliques.toArray
+    val owned = if (q < numR) ((numR - 1 - q) / p + 1).toInt else 0
+    val start = lists.scanLeft(0)(_ + _.length)
+    val rids = lists.flatten
+    val ghost = rids.filter(_ % p != q).sorted
+    var g = 0 // ``ghost`` without repeats is ghost(0 until g)
+    for (r <- ghost if g == 0 || ghost(g - 1) != r) { ghost(g) = r; g += 1 }
+    val ghosts = java.util.Arrays.copyOf(ghost, g)
+    val member = rids.map(r => if (r % p == q) r / p else owned + java.util.Arrays.binarySearch(ghosts, r))
+    val (inStart, slot) = place(member, owned + g)
+    val in = new Array[Int](member.length)
+    for (j <- lists.indices; k <- start(j) until start(j + 1)) in(slot(k)) = j
+    val tau = Array.tabulate(owned + g)(i => if (i < owned) inStart(i + 1) - inStart(i) else 0)
+    new State(start, member, inStart, in, ghosts, tau, Array.range(0, owned))
   }
 
-  /** Writes each message (address k·P + q, x) to v(k); returns the rows of
-    * CSR ``start`` that received one, each once.
+  /** The map stage's messages from partition q's state: each owned row the
+    * last pass changed sends (rid·P + q', τ) once to each other partition q'
+    * that owns one of its co-members.
     */
-  private def write(start: Array[Int], v: Array[Int], p: Int, msgs: Iterator[(Long, Int)]): Array[Int] = {
-    val seen = new Array[Boolean](start.length - 1)
-    val rows = ArrayBuilder.make[Int]
-    msgs.foreach { case (a, x) =>
-      val k = (a / p).toInt
-      v(k) = x
-      val i = rowOf(start, k)
-      if (!seen(i)) { seen(i) = true; rows += i }
-    }
-    rows.result()
-  }
-
-  /** The s-side kernel. Writes the τ messages to ``tau``; then, in each row
-    * that received one (every row when ``all``), gives each member the least
-    * τ of the row's *other* members, ties included, from the row's least
-    * value, where it sits, and its second least. Keeps in ``rho`` the values
-    * that differ from it and returns their slots. Empty rows are skipped;
-    * every other row has ≥ 2 slots.
-    */
-  private[core] def leastOfOthers(start: Array[Int], tau: Array[Int], rho: Array[Int], p: Int,
-                                  msgs: Iterator[(Long, Int)], all: Boolean): Array[Int] = {
-    val touched = write(start, tau, p, msgs)
-    val sent = ArrayBuilder.make[Int]
-    (if (all) Iterator.range(0, start.length - 1) else touched.iterator).foreach { i =>
-      val end = start(i + 1)
-      if (start(i) < end) {
-        var at = start(i)
-        var second = Int.MaxValue
-        var k = at + 1
-        while (k < end) {
-          if (tau(k) < tau(at)) { second = tau(at); at = k }
-          else if (tau(k) < second) second = tau(k)
-          k += 1
-        }
-        val least = tau(at)
-        k = start(i)
-        while (k < end) {
-          val x = if (k == at) second else least
-          if (x != rho(k)) { rho(k) = x; sent += k }
-          k += 1
+  private def sends(s: State, p: Int, q: Int): Iterator[(Long, Int)] = {
+    val owned = s.owned
+    val last = Array.fill(p)(-1) // last(q') = the last row that sent to q'
+    s.changed.iterator.flatMap { i =>
+      val to = ArrayBuilder.make[Int]
+      s.coMembers(i) { m =>
+        if (m >= owned) {
+          val t = s.ghost(m - owned) % p
+          if (last(t) != i) { last(t) = i; to += t }
         }
       }
+      val rid = i.toLong * p + q
+      to.result().iterator.map(t => (rid * p + t, s.tau(i)))
     }
-    sent.result()
   }
 
-  /** The r-side kernel. Writes the ρ messages to ``rho``; then takes H of
-    * each row that received one, by [[HIndexScratch]], keeps it in ``tau``
-    * and returns the rows where it differs.
+  /** The pass kernel. Writes the messages (rid·P + q, τ) to their ghosts.
+    * Then each owned row that shares an s-clique with a changed row (an owned
+    * row of ``s.changed`` or a ghost just written) is touched: its new τ is H
+    * over its s-cliques of the least τ of their other members, by
+    * [[HIndexScratch]]. Every H reads the pre-pass τ's, and the new τ's are
+    * written once all are taken. Returns the next state, whose ``changed``
+    * are the touched rows whose τ moved, and the touched rows.
     */
-  private[core] def hIndexes(start: Array[Int], rho: Array[Int], tau: Array[Int], p: Int,
-                             msgs: Iterator[(Long, Int)]): Array[Int] = {
-    val touched = write(start, rho, p, msgs)
-    val h = new HIndexScratch(touched.foldLeft(0)((w, i) => math.max(w, start(i + 1) - start(i))))
-    val changed = ArrayBuilder.make[Int]
-    for (i <- touched) {
-      val d = start(i + 1) - start(i)
-      System.arraycopy(rho, start(i), h.vals, 0, d)
-      val t = h.hIndex(d)
-      if (t != tau(i)) { tau(i) = t; changed += i }
+  private[core] def step(s: State, p: Int, msgs: Iterator[(Long, Int)]): (State, Array[Int]) = {
+    val (owned, tau) = (s.owned, s.tau.clone())
+    val marked = new Array[Boolean](owned)
+    val touched = ArrayBuilder.make[Int]
+    def touch(c: Int): Unit =
+      s.coMembers(c)(m => if (m < owned && m != c && !marked(m)) { marked(m) = true; touched += m })
+    s.changed.foreach(touch)
+    msgs.foreach { case (a, t) =>
+      val g = owned + java.util.Arrays.binarySearch(s.ghost, (a / p).toInt)
+      tau(g) = t
+      touch(g)
     }
-    changed.result()
-  }
-
-  /** The s-side after a pass's τ messages, and the slots whose ρ changed. */
-  private def sStep(s: SSide, p: Int, msgs: Iterator[(Long, Int)], all: Boolean): (SSide, Array[Int]) = {
-    val (tau, rho) = (s.tau.clone(), s.rho.clone())
-    val sent = leastOfOthers(s.start, tau, rho, p, msgs, all)
-    (new SSide(s.start, s.rid, s.back, tau, rho), sent)
+    val rows = touched.result()
+    val h = new HIndexScratch(rows.foldLeft(0)((w, i) => math.max(w, s.inStart(i + 1) - s.inStart(i))))
+    val next = rows.map { i =>
+      for (x <- s.inStart(i) until s.inStart(i + 1)) {
+        var least = Int.MaxValue
+        var k = s.start(s.in(x))
+        while (k < s.start(s.in(x) + 1)) {
+          if (s.member(k) != i) least = math.min(least, tau(s.member(k)))
+          k += 1
+        }
+        h.vals(x - s.inStart(i)) = least
+      }
+      h.hIndex(s.inStart(i + 1) - s.inStart(i))
+    }
+    val changed = ArrayBuilder.make[Int]
+    for (x <- rows.indices if next(x) != tau(rows(x))) { tau(rows(x)) = next(x); changed += rows(x) }
+    (new State(s.start, s.member, s.inStart, s.in, s.ghost, tau, changed.result()), rows)
   }
 
   /** Run to convergence.
@@ -195,7 +187,7 @@ object SndSpark {
     *                   (pass number starting at 1, r-cliques whose τ changed)
     * @return (DataFrame (rid, kappa), iterations-with-change)
     * @throws IllegalArgumentException naming the id: at once on numR >
-    *         Int.MaxValue; from the set-up job on a sid or rid outside
+    *         Int.MaxValue; from the first pass's job on a sid or rid outside
     *         0..Int.MaxValue, a rid >= numR or an s-clique with fewer than
     *         2 members
     */
@@ -206,84 +198,42 @@ object SndSpark {
     val p = spark.sparkContext.defaultParallelism
     val byMod = new ModPartitioner(p)
 
-    // Set-up, one job. The s-side CSR (start, rid), placed by sid / P.
-    val sCsr = membership.select(col("sid").cast("long"), col("rid").cast("long")).rdd.map { row =>
+    // Set-up, run by pass 1's job. Each s-clique, grouped at its sid's
+    // partition, sends its member rids to each distinct partition that owns
+    // one of them.
+    val cliques = membership.select(col("sid").cast("long"), col("rid").cast("long")).rdd.map { row =>
       val (sid, rid) = (row.getLong(0), row.getLong(1))
       require(sid >= 0 && sid <= Int.MaxValue, s"SndSpark: sid $sid outside 0..${Int.MaxValue}")
       require(rid >= 0 && rid <= Int.MaxValue, s"SndSpark: rid $rid outside 0..${Int.MaxValue}")
       require(rid < numR, s"SndSpark: rid $rid is not below numR = $numR")
       (sid, rid.toInt)
-    }.partitionBy(byMod).mapPartitionsWithIndex { (q, it) =>
-      val (rows, rids) = (ArrayBuilder.make[Int], ArrayBuilder.make[Int])
-      it.foreach { case (sid, rid) => rows += (sid / p).toInt; rids += rid }
-      val (row, r) = (rows.result(), rids.result())
-      val (start, slot) = place(row, if (row.isEmpty) 0 else Math.addExact(row.max, 1))
-      for (i <- 0 until start.length - 1 if start(i + 1) - start(i) == 1)
-        throw new IllegalArgumentException(s"SndSpark: s-clique ${i.toLong * p + q} has fewer than 2 members")
-      val rid = new Array[Int](r.length)
-      for (m <- r.indices) rid(slot(m)) = r(m)
-      Iterator((start, rid))
-    }.persist(StorageLevel.MEMORY_AND_DISK)
-    // Each s-slot sends its address to its rid: the r-side CSR (start, to),
-    // placed by rid / P.
-    val rCsr = sCsr.mapPartitionsWithIndex { (q, it) =>
-      val rid = it.next()._2
-      Iterator.tabulate(rid.length)(k => (rid(k).toLong, k.toLong * p + q))
-    }.partitionBy(byMod).mapPartitionsWithIndex { (q, it) =>
-      val (rows, tos) = (ArrayBuilder.make[Int], ArrayBuilder.make[Long])
-      it.foreach { case (rid, a) => rows += (rid / p).toInt; tos += a }
-      val (row, a) = (rows.result(), tos.result())
-      val (start, slot) = place(row, if (q < numR) ((numR - 1 - q) / p + 1).toInt else 0)
-      val to = new Array[Long](a.length)
-      for (m <- a.indices) to(slot(m)) = a(m)
-      Iterator((start, to))
-    }.persist(StorageLevel.MEMORY_AND_DISK)
-    // Each r-slot j sends (j, τ₀ = d_s) to its s-slot, packed as j << 32 | d_s.
-    val tau0 = rCsr.mapPartitions { it =>
-      val (start, to) = it.next()
-      Iterator.range(0, start.length - 1).flatMap { i =>
-        val d = start(i + 1) - start(i)
-        Iterator.range(start(i), start(i + 1)).map(j => (to(j), (j.toLong << 32) | d))
+    }.partitionBy(byMod).mapPartitions { it =>
+      val sidRid = it.map { case (sid, rid) => sid << 32 | rid }.toArray
+      java.util.Arrays.sort(sidRid)
+      val ends = (1 to sidRid.length).filter(e => e == sidRid.length || sidRid(e) >>> 32 != sidRid(e - 1) >>> 32)
+      val last = Array.fill(p)(-1) // last(q') = the first slot of the last s-clique sent to q'
+      (0 +: ends).iterator.zip(ends.iterator).flatMap { case (b, e) =>
+        if (e - b < 2)
+          throw new IllegalArgumentException(s"SndSpark: s-clique ${sidRid(b) >>> 32} has fewer than 2 members")
+        val rids = Array.tabulate(e - b)(k => sidRid(b + k).toInt)
+        rids.iterator.map(_ % p).filter { t => val fresh = last(t) != b; last(t) = b; fresh }.map(t => (t.toLong, rids))
       }
     }.partitionBy(byMod)
-    var state = sCsr.zipPartitions(rCsr, tau0) { (ss, rs, msgs) =>
-      val ((sStart, rid), (rStart, to)) = (ss.next(), rs.next())
-      val (back, tau) = (new Array[Int](rid.length), new Array[Int](rid.length))
-      msgs.foreach { case (a, x) => val k = (a / p).toInt; back(k) = (x >>> 32).toInt; tau(k) = x.toInt }
-      val degrees = Array.tabulate(rStart.length - 1)(i => rStart(i + 1) - rStart(i))
-      Iterator(new State(new SSide(sStart, rid, back, tau, Array.fill(rid.length)(-1)),
-                         new RSide(rStart, to, new Array[Int](to.length), degrees, Array.emptyIntArray)))
-    }.localCheckpoint()
-    // Pass 1's τ leg: no message, in P partitions to zip with.
-    val none = spark.sparkContext.parallelize(Seq.empty[(Long, Int)], p)
+    var state = cliques.mapPartitionsWithIndex((q, it) => Iterator(build(p, q, numR, it.map(_._2))))
+      .persist(StorageLevel.MEMORY_AND_DISK)
     var iterations = 0
     try {
-      try state.count() finally { sCsr.unpersist(); rCsr.unpersist() }
       var converged = false
       while (!converged) {
-        val all = iterations == 0
-        val taus = if (all) none else state.mapPartitions { it =>
-          val r = it.next().r
-          r.changed.iterator.flatMap(i => Iterator.range(r.start(i), r.start(i + 1)).map(j => (r.to(j), r.tau(i))))
-        }.partitionBy(byMod)
-        val rhos = state.zipPartitions(taus) { (it, msgs) =>
-          val (s, sent) = sStep(it.next().s, p, msgs, all)
-          sent.iterator.map(k => (s.back(k).toLong * p + s.rid(k) % p, s.rho(k)))
-        }.partitionBy(byMod)
-        val next = state.zipPartitions(taus, rhos) { (it, ts, msgs) =>
-          val prev = it.next()
-          val r = prev.r
-          val (rho, tau) = (r.rho.clone(), r.tau.clone())
-          val changed = hIndexes(r.start, rho, tau, p, msgs)
-          Iterator(new State(sStep(prev.s, p, ts, all)._1, new RSide(r.start, r.to, rho, tau, changed)))
-        }.localCheckpoint()
+        val msgs = state.mapPartitionsWithIndex((q, it) => sends(it.next(), p, q)).partitionBy(byMod)
+        val next = state.zipPartitions(msgs)((it, ms) => Iterator(step(it.next(), p, ms)._1)).localCheckpoint()
         // Spark logs one WARN per pass as it unpersists the superseded,
         // locally checkpointed state. That is expected: a reliable checkpoint
         // would need a checkpoint directory, and keeping the superseded state
         // would grow the cache by one state a pass (SndSparkSpec allows one
         // persistent RDD after a run). If the job throws, `next` is the state
         // the failure path releases.
-        val changed = try next.map(_.r.changed.length.toLong).reduce(_ + _)
+        val changed = try next.map(_.changed.length.toLong).reduce(_ + _)
                       finally { state.unpersist(); state = next }
         if (onPass != null) onPass(iterations + 1, changed)
         if (changed == 0) converged = true
@@ -295,8 +245,8 @@ object SndSpark {
       case e: Throwable => state.unpersist(); throw e
     }
     val kappa = state.mapPartitionsWithIndex { (q, it) =>
-      val tau = it.next().r.tau
-      Iterator.tabulate(tau.length)(i => (i.toLong * p + q, tau(i)))
+      val s = it.next()
+      Iterator.tabulate(s.owned)(i => (i.toLong * p + q, s.tau(i)))
     }.toDF("rid", "kappa")
     (kappa, iterations)
   }
